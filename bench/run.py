@@ -1,6 +1,6 @@
 """Closed-loop benchmark of the m3cs CPU pipeline.
 
-    python3 bench/run.py --workload {pretrain,finetune,eval,gradcheck} \
+    python3 bench/run.py --workload {pretrain,finetune,eval} \
         --seed N --seconds S --trace {0,1} [--size {desk,tiny}]
 
 Run from the root of a checkout: the benchmark imports m3cs from `src/` next
@@ -67,7 +67,7 @@ def blas_record():
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True,
-                    choices=["pretrain", "finetune", "eval", "gradcheck"])
+                    choices=["pretrain", "finetune", "eval"])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)

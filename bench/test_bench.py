@@ -61,11 +61,10 @@ def test_smoke_emits_every_metric(workload, trace):
 
 @pytest.mark.parametrize("workload", NAMES)
 def test_tracing_consumes_no_rng(workload):
-    units = 2 if workload == "gradcheck" else 4
-    plain = workloads.run(workload, 5, 0, trace=False, size="tiny", units=units)
-    traced = workloads.run(workload, 5, 0, trace=True, size="tiny", units=units)
+    plain = workloads.run(workload, 5, 0, trace=False, size="tiny", steps=4)
+    traced = workloads.run(workload, 5, 0, trace=True, size="tiny", steps=4)
     assert plain["correct"] and traced["correct"]
-    assert len(plain["stream"]) == units
+    assert len(plain["stream"]) == 4
     assert traced["stream"] == plain["stream"]
 
 
@@ -86,7 +85,7 @@ def _snapshot():
 
 def test_wrappers_removed_after_traced_run():
     before = _snapshot()
-    workloads.run("pretrain", 1, 0, trace=True, size="tiny", units=2)
+    workloads.run("pretrain", 1, 0, trace=True, size="tiny", steps=2)
     after = _snapshot()
     assert after.keys() == before.keys()
     changed = [k for k in before if after[k] is not before[k]]
@@ -94,7 +93,7 @@ def test_wrappers_removed_after_traced_run():
 
 
 def _layer(workload, **kw):
-    return workloads.run(workload, 2, 0, trace=True, size="tiny", units=4, **kw)["metrics"]
+    return workloads.run(workload, 2, 0, trace=True, size="tiny", steps=4, **kw)["metrics"]
 
 
 def test_layers_reported_where_they_apply():
@@ -122,9 +121,6 @@ def test_layers_reported_where_they_apply():
     # the traced half re-groups the clouds it grouped on its first pass
     assert m["geometry.group.reuse"] == pytest.approx(0.5)
 
-    m = _layer("gradcheck")
-    assert m["geometry.fps.calls"] == 0 and m["autodiff.backward.calls"] > 0
-    assert m["autodiff.matmul.calls"] > 0 and m["autodiff.other.calls"] == 0
     assert 0 < m["trace.coverage"] <= 1
 
 
