@@ -33,25 +33,37 @@ def save_checkpoint(path, tensors, config):
         fh.write(blob)
 
 
+def _read(fh, path, n):
+    """Exactly n bytes from fh; fewer means the file was cut short."""
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise ValueError(f"{path}: truncated at byte {fh.tell()}")
+    return buf
+
+
+def _unpack(fh, path, fmt):
+    return struct.unpack(fmt, _read(fh, path, struct.calcsize(fmt)))
+
+
 def load_checkpoint(path):
     """Returns (tensors dict, config dict)."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
+        if _read(fh, path, 4) != MAGIC:
             raise ValueError(f"{path}: not a M3CS checkpoint (bad magic)")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = _unpack(fh, path, "<II")
         if version != VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         tensors = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
+            (name_len,) = _unpack(fh, path, "<I")
+            name = _read(fh, path, name_len).decode("utf-8")
+            (rank,) = _unpack(fh, path, "<I")
+            dims = _unpack(fh, path, f"<{rank}Q")
             n = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(fh.read(4 * n), dtype="<f4").reshape(dims)
+            data = np.frombuffer(_read(fh, path, 4 * n), dtype="<f4").reshape(dims)
             tensors[name] = data.copy()
-        (json_len,) = struct.unpack("<Q", fh.read(8))
-        config = json.loads(fh.read(json_len).decode("utf-8"))
+        (json_len,) = _unpack(fh, path, "<Q")
+        config = json.loads(_read(fh, path, json_len).decode("utf-8"))
     return tensors, config
 
 

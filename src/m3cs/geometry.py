@@ -32,8 +32,19 @@ class PatchSet:
 
 
 def _sqdists(a, b):
-    # (M, N) squared euclidean distances
-    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
+    """Squared euclidean distances between the rows of a (..., M, 3) and b (..., N, 3).
+
+    Accumulates one coordinate at a time, which rounds exactly like
+    ((a[..., :, None, :] - b[..., None, :, :]) ** 2).sum(-1) without building
+    the (..., M, N, 3) difference.
+    """
+    d = a[..., :, None, 0] - b[..., None, :, 0]
+    d *= d
+    for c in (1, 2):
+        t = a[..., :, None, c] - b[..., None, :, c]
+        t *= t
+        d += t
+    return d
 
 
 def fps(cloud, g, start=0):
@@ -44,23 +55,41 @@ def fps(cloud, g, start=0):
         raise ValueError(f"fps: need 1 <= G <= N, got G={g}, N={n}")
     if not 0 <= start < n:
         raise ValueError(f"fps: start index {start} out of range for N={n}")
-    chosen = [start]
-    dmin = ((pts - pts[start]) ** 2).sum(-1)
-    for _ in range(g - 1):
-        nxt = int(np.argmax(dmin))
-        chosen.append(nxt)
-        dmin = np.minimum(dmin, ((pts - pts[nxt]) ** 2).sum(-1))
-    return np.asarray(chosen, dtype=np.int64)
+    xyz = np.ascontiguousarray(pts.T)  # (3, N): each pick is one pass over it
+    chosen = np.empty(g, dtype=np.int64)
+    chosen[0] = nxt = start
+    dmin = np.full(n, np.inf)
+    sq, d = np.empty((3, n)), np.empty(n)
+    for i in range(1, g):
+        # same rounding as ((pts - pts[nxt]) ** 2).sum(-1)
+        np.subtract(xyz, xyz[:, nxt:nxt + 1], out=sq)
+        np.square(sq, out=sq)
+        np.add(sq[0], sq[1], out=d)
+        d += sq[2]
+        np.minimum(dmin, d, out=dmin)
+        chosen[i] = nxt = int(dmin.argmax())
+    return chosen
 
 
 def knn(query, cloud, k):
     """Per query row, the k nearest cloud indices sorted by distance, ties to lower index."""
     query = np.atleast_2d(np.asarray(query, dtype=np.float64))
-    if k > cloud.n:
-        raise ValueError(f"knn: k={k} exceeds cloud size {cloud.n}")
+    n = cloud.n
+    if k > n:
+        raise ValueError(f"knn: k={k} exceeds cloud size {n}")
     d = _sqdists(query, cloud.points)
-    order = np.argsort(d, axis=1, kind="stable")
-    return order[:, :k].astype(np.int64)
+    if not 1 <= k < n:
+        return np.argsort(d, axis=1, kind="stable")[:, :k].astype(np.int64)
+    # the k smallest in index order, then stably by distance
+    cand = np.sort(np.argpartition(d, k - 1, axis=1)[:, :k], axis=1)
+    dc = np.take_along_axis(d, cand, axis=1)
+    idx = np.take_along_axis(cand, np.argsort(dc, axis=1, kind="stable"), axis=1)
+    # a row whose k-th distance is shared beyond the k candidates (or is NaN)
+    # may have dropped a lower index: redo it with the full stable sort
+    redo = np.count_nonzero(d <= dc.max(axis=1)[:, None], axis=1) != k
+    if redo.any():
+        idx[redo] = np.argsort(d[redo], axis=1, kind="stable")[:, :k]
+    return idx.astype(np.int64, copy=False)
 
 
 def group(cloud, g, s, start=0):
@@ -71,12 +100,12 @@ def group(cloud, g, s, start=0):
     centers = cloud.points[center_idx]
     idx = knn(centers, cloud, s)
     # a duplicate point can tie at distance 0; keep the center in slot 0
-    for i, ci in enumerate(center_idx):
-        if idx[i, 0] != ci:
-            where = np.nonzero(idx[i] == ci)[0]
-            j = int(where[0]) if len(where) else 0
-            idx[i, j] = idx[i, 0]
-            idx[i, 0] = ci
+    for i in np.nonzero(idx[:, 0] != center_idx)[0]:
+        ci = center_idx[i]
+        where = np.nonzero(idx[i] == ci)[0]
+        j = int(where[0]) if len(where) else 0
+        idx[i, j] = idx[i, 0]
+        idx[i, 0] = ci
     groups = cloud.points[idx] - centers[:, None, :]
     return PatchSet(centers=centers, groups=groups, source_indices=idx)
 
@@ -118,7 +147,7 @@ def chamfer_batch(pred, target):
             f"chamfer_batch: need (K,S,3) vs (K,S',3), got {list(pred.shape)} vs {list(target.shape)}")
     p, q = pred.data, target.data
     k, s, sp = p.shape[0], p.shape[1], q.shape[1]
-    d = ((p[:, :, None, :] - q[:, None, :, :]) ** 2).sum(-1)  # (K,S,S')
+    d = _sqdists(p, q)  # (K,S,S')
     jstar = d.argmin(axis=2)
     istar = d.argmin(axis=1)
     ar = np.arange(k)[:, None]
@@ -132,9 +161,10 @@ def chamfer_batch(pred, target):
         pi = np.take_along_axis(p, istar[:, :, None], axis=1)
         gp = (2.0 * g / s) * (p - qj)
         gq = (2.0 * g / sp) * (q - pi)
-        for b in range(k):
-            np.add.at(gp[b], istar[b], (2.0 * g / sp) * (p[b][istar[b]] - q[b]))
-            np.add.at(gq[b], jstar[b], (2.0 * g / s) * (q[b][jstar[b]] - p[b]))
+        # pairs scatter into disjoint rows, pair by pair in index order, so
+        # this adds in the same order as one np.add.at per pair
+        np.add.at(gp, (ar, istar), (2.0 * g / sp) * (pi - q))
+        np.add.at(gq, (ar, jstar), (2.0 * g / s) * (qj - p))
         return gp, gq
 
     return _record(out, (pred, target), vjp)

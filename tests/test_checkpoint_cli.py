@@ -111,6 +111,20 @@ def test_checkpoint_version_refused(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_truncated_at_every_byte(tmp_path):
+    full = tmp_path / "full.ckpt"
+    save_checkpoint(full, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                           "s": np.float32(1.5).reshape(())}, {"seed": 1})
+    raw = full.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(ValueError, match=f"cut.ckpt: truncated at byte {n}$"):
+            load_checkpoint(cut)
+    cut.write_bytes(raw)
+    assert load_checkpoint(cut)[1] == {"seed": 1}
+
+
 def test_collect_pretrain_state_names():
     from m3cs.optim import AdamW
     from m3cs.pretrain import PretrainModel, init_teacher
@@ -251,6 +265,16 @@ def test_cli_eval_missing_checkpoint(capsys):
     rc = main(["eval"])
     assert rc == 1
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_cli_eval_truncated_checkpoint(trained, tmp_path, capsys):
+    raw = (trained["root"] / "ft" / "finetune.ckpt").read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(raw[:len(raw) // 2])
+    rc = main(["eval", "--checkpoint", str(cut)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"m3cs eval: error: {cut}: truncated at byte {len(raw) // 2}"]
 
 
 def test_checkpoint_reload_gives_identical_logits(trained):
