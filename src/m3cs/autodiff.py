@@ -76,9 +76,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def check_finite(self, what="tensor"):
         if not np.all(np.isfinite(self.data)):
             raise FloatingPointError(f"non-finite values in {what}")

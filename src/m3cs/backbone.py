@@ -1,9 +1,11 @@
-"""Transformer encoder (student/teacher) and the shared-weight siamese decoder."""
+"""Transformer encoder (student/teacher), the siamese decoder, and the shared backbone."""
 
 import math
 
 from . import autodiff as ad
+from .autodiff import Tensor
 from .layers import LayerNorm, Linear, Module
+from .tokenizer import MiniPointNet, PosEmbed
 
 
 class SelfAttention(Module):
@@ -98,3 +100,22 @@ class SiameseDecoder(Module):
         for block in self.blocks:
             x = block(ad.add(x, pos))
         return self.ln_final(x)
+
+
+class Backbone(Module):
+    """Tokenizer, center embedding and encoder: the modules both models share.
+
+    Subclasses build their own modules after this; that order fixes the rng draws.
+    """
+
+    def __init__(self, rng, cfg):
+        self.cfg = cfg
+        self.tokenizer = MiniPointNet(rng, cfg.c)
+        self.pos_embed = PosEmbed(rng, cfg.c)
+        self.encoder = EncoderStack(rng, cfg.c, cfg.heads, cfg.enc_depth)
+
+    def embed(self, groups, centers):
+        """Raw patches -> (tokens, pos), both (..., G, c)."""
+        tokens = self.tokenizer(Tensor(groups))
+        pos = self.pos_embed(Tensor(centers))
+        return tokens, pos

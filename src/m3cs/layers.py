@@ -17,23 +17,8 @@ def init_param(rng, shape, std=0.02):
 class Module:
     """Tiny param-registry base: children and Tensors found by attribute walk."""
 
-    def params(self, prefix=""):
-        out = {}
-        for name, val in vars(self).items():
-            key = f"{prefix}{name}"
-            if isinstance(val, Tensor):
-                if val.requires_grad:
-                    out[key] = val
-            elif isinstance(val, Module):
-                out.update(val.params(f"{key}."))
-            elif isinstance(val, (list, tuple)):
-                for i, item in enumerate(val):
-                    if isinstance(item, Module):
-                        out.update(item.params(f"{key}.{i}."))
-        return out
-
     def named_tensors(self, prefix=""):
-        """Like params(), but includes frozen (requires_grad=False) tensors."""
+        """Every Tensor reachable by attribute walk, frozen ones included."""
         out = {}
         for name, val in vars(self).items():
             key = f"{prefix}{name}"
@@ -47,10 +32,13 @@ class Module:
                         out.update(item.named_tensors(f"{key}.{i}."))
         return out
 
-    def load_params(self, arrays, prefix=""):
-        """Copy values into matching parameters (shapes must agree)."""
-        own = self.params(prefix)
-        for key, p in own.items():
+    def params(self):
+        """The trainable (requires_grad) tensors of named_tensors()."""
+        return {k: t for k, t in self.named_tensors().items() if t.requires_grad}
+
+    def load_params(self, arrays):
+        """Copy values into the tensors whose names appear in arrays (shapes must agree)."""
+        for key, p in self.named_tensors().items():
             if key in arrays:
                 p.data = np.asarray(arrays[key], dtype=p.data.dtype).reshape(p.data.shape).copy()
         return self

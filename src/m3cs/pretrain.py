@@ -8,15 +8,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbone import EncoderStack, SiameseDecoder
+from .backbone import Backbone, EncoderStack, SiameseDecoder
 from .codebook import Codebook, Quantizer, perplexity, temperature
 from .config import ModelConfig, PretrainConfig
 from .data import augment
 from .geometry import chamfer_batch, group
-from .layers import Linear, Module, init_param
+from .layers import Linear, init_param
 from .optim import AdamW
 from .rng import make_rng
-from .tokenizer import MiniPointNet, PosEmbed
 
 METRICS_HEADER = ["step", "l_align", "l_rec", "l_total", "lambda", "tau", "perplexity"]
 
@@ -89,12 +88,9 @@ def make_mask(kind, g, ratio, rng, centers=None):
 # --------------------------------------------------------------------- model
 
 
-class PretrainModel(Module):
+class PretrainModel(Backbone):
     def __init__(self, rng, cfg: ModelConfig):
-        self.cfg = cfg
-        self.tokenizer = MiniPointNet(rng, cfg.c)
-        self.pos_embed = PosEmbed(rng, cfg.c)
-        self.encoder = EncoderStack(rng, cfg.c, cfg.heads, cfg.enc_depth)
+        super().__init__(rng, cfg)
         self.decoder = SiameseDecoder(rng, cfg.c, cfg.heads, cfg.dec_depth)
         if not cfg.siamese:
             self.point_decoder = SiameseDecoder(rng, cfg.c, cfg.heads, cfg.dec_depth)
@@ -106,12 +102,6 @@ class PretrainModel(Module):
     def point_branch_decoder(self):
         return self.decoder if self.cfg.siamese else self.point_decoder
 
-    def embed(self, groups, centers):
-        """Raw patches -> (tokens, pos), both (..., G, c)."""
-        tokens = self.tokenizer(Tensor(groups))
-        pos = self.pos_embed(Tensor(centers))
-        return tokens, pos
-
 
 # ----------------------------------------------------------------- EMA teacher
 
@@ -121,9 +111,6 @@ class EmaState:
     encoder: EncoderStack   # frozen copy; params never require grad
     lam_start: float = 0.996
     lam_end: float = 1.0
-
-    def params(self):
-        return {k: p.data for k, p in self.encoder.named_tensors().items()}
 
 
 def init_teacher(model, lam_start=0.996, lam_end=1.0):
@@ -164,9 +151,7 @@ def forward_targets(tokens, pos, mask, teacher):
     Output is a constant (no gradient is recorded).
     """
     with ad.no_grad():
-        tok = Tensor(tokens.data) if isinstance(tokens, Tensor) else Tensor(tokens)
-        ps = Tensor(pos.data) if isinstance(pos, Tensor) else Tensor(pos)
-        h = teacher.encoder.final(tok, ps)
+        h = teacher.encoder.final(tokens, pos)
         y = ad.layer_norm(h)
         y = ad.take(y, mask.masked_idx, axis=-2)
     return Tensor(y.data)

@@ -1,7 +1,7 @@
 """Patch-to-token projection (mini-PointNet) and positional embedding of centers."""
 
 from . import autodiff as ad
-from .layers import Linear, Mlp, Module
+from .layers import Mlp, Module
 
 
 class MiniPointNet(Module):
