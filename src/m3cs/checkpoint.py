@@ -79,4 +79,5 @@ def collect_pretrain_state(model, teacher, opt):
 
 
 def collect_finetune_state(model):
-    return {f"model.{k}": p.data for k, p in model.params().items()}
+    """Every model tensor, frozen ones (a frozen codebook) included."""
+    return {f"model.{k}": p.data for k, p in model.named_tensors().items()}

@@ -140,7 +140,11 @@ def _load_finetuned(cfg):
     saved = _saved_run_config(ck_cfg)
     model = FinetuneModel(make_rng(saved.seed, 10), saved.model, n_classes,
                           hidden=saved.finetune.hidden, dropout=saved.finetune.dropout)
-    model.load_params(_strip(tensors, "model."))
+    arrays = _strip(tensors, "model.")
+    missing = [k for k in model.named_tensors() if k not in arrays]
+    if missing:
+        raise ValueError(f"{cfg.checkpoint}: no tensor 'model.{missing[0]}'")
+    model.load_params(arrays)
     return model, saved
 
 

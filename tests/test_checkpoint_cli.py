@@ -277,6 +277,39 @@ def test_cli_eval_truncated_checkpoint(trained, tmp_path, capsys):
     assert err == [f"m3cs eval: error: {cut}: truncated at byte {len(raw) // 2}"]
 
 
+def test_cli_eval_missing_tensor(trained, tmp_path, capsys):
+    tensors, config = load_checkpoint(os.path.join(trained["ft_dir"], "finetune.ckpt"))
+    del tensors["model.encoder.blocks.1.attn.q.w"]
+    path = tmp_path / "partial.ckpt"
+    save_checkpoint(path, tensors, config)
+    rc = main(["eval", "--checkpoint", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"m3cs eval: error: {path}: no tensor 'model.encoder.blocks.1.attn.q.w'"]
+
+
+def test_frozen_codebook_checkpoint_reload_gives_identical_logits(trained, tmp_path):
+    from m3cs.cli import _datasets, _load_finetuned, _student_arrays
+    from m3cs.finetune import _cloud_batch, finetune_loop
+
+    flags = {k[2:]: v for k, v in zip(TINY_FLAGS[::2], TINY_FLAGS[1::2])}
+    cfg = load_config(overrides={**flags, "finetune.steps": 3, "finetune.batch_size": 2,
+                                 "finetune.warmup": 1, "finetune.freeze_codebook": True})
+    train, test = _datasets(cfg)
+    arrays, _ = _student_arrays(trained["ckpt"])
+    model, _, _ = finetune_loop(train, None, cfg.model, cfg.finetune, seed=cfg.seed,
+                                init_arrays=arrays)
+    path = tmp_path / "frozen.ckpt"
+    save_checkpoint(path, collect_finetune_state(model),
+                    {**to_flat(cfg), "n_classes": len(train.class_names)})
+    cfg.checkpoint = str(path)
+    reloaded, saved = _load_finetuned(cfg)
+    groups, centers = _cloud_batch([c for c, _ in test.items], saved.model, None, train=False)
+    want = model.forward(groups, centers, layers=saved.finetune.layers).data
+    got = reloaded.forward(groups, centers, layers=saved.finetune.layers).data
+    np.testing.assert_array_equal(got, want)
+
+
 def test_checkpoint_reload_gives_identical_logits(trained):
     from m3cs.cli import _load_finetuned
     from m3cs.finetune import _cloud_batch

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -199,17 +201,21 @@ def test_dropout_only_in_training():
 
 
 def test_load_pretrained_copies_shared_modules():
-    pre = PretrainModel(make_rng(16), TINY)
-    ft = FinetuneModel(make_rng(17), TINY, n_classes=2)
-    head_before = ft.head.fc1.w.data.copy()
-    load_pretrained(ft, pre)
-    np.testing.assert_array_equal(ft.tokenizer.point_mlp.layers[0].w.data,
-                                  pre.tokenizer.point_mlp.layers[0].w.data)
-    np.testing.assert_array_equal(ft.encoder.blocks[0].attn.q.w.data,
-                                  pre.encoder.blocks[0].attn.q.w.data)
-    np.testing.assert_array_equal(ft.codebook.entries.data, pre.codebook.entries.data)
-    # the classifier head is fresh, not copied
-    np.testing.assert_array_equal(ft.head.fc1.w.data, head_before)
+    # with and without the second (non-siamese) point decoder in the source
+    for siamese in (True, False):
+        cfg = dataclasses.replace(TINY, siamese=siamese)
+        pre = PretrainModel(make_rng(16), cfg)
+        ft = FinetuneModel(make_rng(17), cfg, n_classes=2)
+        before = {k: t.data.copy() for k, t in ft.named_tensors().items()}
+        load_pretrained(ft, pre)
+        src = pre.named_tensors()
+        for key, t in ft.named_tensors().items():
+            if key.split(".")[0] in ("tokenizer", "pos_embed", "encoder", "codebook"):
+                np.testing.assert_array_equal(t.data, src[key].data, err_msg=key)
+            else:  # the HTA and classifier head stay fresh
+                assert key not in src
+                np.testing.assert_array_equal(t.data, before[key], err_msg=key)
+        assert not np.array_equal(before["codebook.entries"], ft.codebook.entries.data)
 
 
 def test_freeze_codebook_removes_entries():
