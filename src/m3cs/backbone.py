@@ -53,7 +53,6 @@ class EncoderStack(Module):
     """Stack of self-attention blocks; any hidden layer's output can be collected."""
 
     def __init__(self, rng, c, heads, depth):
-        self.c = c
         self.blocks = [Block(rng, c, heads) for _ in range(depth)]
         self.ln_final = LayerNorm(c)
 

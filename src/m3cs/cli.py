@@ -72,14 +72,10 @@ def _prepare_out(cfg):
     dump_config(cfg, os.path.join(cfg.out_dir, "config.json"))
 
 
-def _strip(tensors, prefix):
-    """The tensors whose names start with prefix, keyed by the rest of the name."""
-    return {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
-
-
-def _student_arrays(ckpt_path):
+def _load_arrays(ckpt_path, prefix):
+    """A checkpoint's tensors named prefix + key, keyed by key, and its config."""
     tensors, ck_cfg = load_checkpoint(ckpt_path)
-    return _strip(tensors, "student."), ck_cfg
+    return {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}, ck_cfg
 
 
 def _saved_run_config(ck_cfg):
@@ -120,7 +116,7 @@ def cmd_finetune(cfg):
     if not cfg.finetune.from_scratch:
         if not cfg.checkpoint:
             raise FileNotFoundError("finetune needs --checkpoint, or pass --from-scratch")
-        init_arrays, _ = _student_arrays(cfg.checkpoint)
+        init_arrays, _ = _load_arrays(cfg.checkpoint, "student.")
     metrics_path = os.path.join(cfg.out_dir, "finetune_metrics.csv")
     model, _, test_acc = finetune_loop(
         train, test, cfg.model, cfg.finetune, seed=cfg.seed,
@@ -135,12 +131,11 @@ def cmd_finetune(cfg):
 
 
 def _load_finetuned(cfg):
-    tensors, ck_cfg = load_checkpoint(cfg.checkpoint)
+    arrays, ck_cfg = _load_arrays(cfg.checkpoint, "model.")
     n_classes = int(ck_cfg.get("n_classes", 4))
     saved = _saved_run_config(ck_cfg)
     model = FinetuneModel(make_rng(saved.seed, 10), saved.model, n_classes,
                           hidden=saved.finetune.hidden, dropout=saved.finetune.dropout)
-    arrays = _strip(tensors, "model.")
     missing = [k for k in model.named_tensors() if k not in arrays]
     if missing:
         raise ValueError(f"{cfg.checkpoint}: no tensor 'model.{missing[0]}'")
@@ -164,7 +159,7 @@ def cmd_fewshot(cfg):
     _, test = _datasets(cfg)
     init_arrays = None
     if cfg.checkpoint:
-        init_arrays, _ = _student_arrays(cfg.checkpoint)
+        init_arrays, _ = _load_arrays(cfg.checkpoint, "student.")
     fs = cfg.fewshot
     ep_cfg = dataclasses.replace(cfg.finetune, steps=fs.steps, lr=fs.lr,
                                  layers=fs.layers)
@@ -187,7 +182,7 @@ def cmd_fewshot(cfg):
 def cmd_inspect_codebook(cfg):
     if not cfg.checkpoint:
         raise FileNotFoundError("inspect-codebook needs --checkpoint (pretrain checkpoint)")
-    arrays, ck_cfg = _student_arrays(cfg.checkpoint)
+    arrays, ck_cfg = _load_arrays(cfg.checkpoint, "student.")
     saved = _saved_run_config(ck_cfg)
     model = PretrainModel(make_rng(saved.seed, 0), saved.model)
     model.load_params(arrays)

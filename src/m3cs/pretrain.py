@@ -99,9 +99,6 @@ class PretrainModel(Backbone):
         self.quantizer = Quantizer(rng, cfg.c, self.codebook)
         self.point_head = Linear(rng, cfg.c, cfg.s * 3)
 
-    def point_branch_decoder(self):
-        return self.decoder if self.cfg.siamese else self.point_decoder
-
 
 # ----------------------------------------------------------------- EMA teacher
 
@@ -117,7 +114,6 @@ def init_teacher(model, lam_start=0.996, lam_end=1.0):
     enc = copy.deepcopy(model.encoder)
     for p in enc.named_tensors().values():
         p.requires_grad = False
-        p.data = p.data.copy()
     return EmaState(encoder=enc, lam_start=lam_start, lam_end=lam_end)
 
 
@@ -188,7 +184,8 @@ def point_loss(model, x, enc_vis, pos, mask, groups, tau, rng=None, training=Tru
     """Quantize masked representations, decode with visible context, Chamfer vs truth."""
     qout = model.quantizer(x, tau, rng=rng, training=training)
     seq = _scatter_by_position(enc_vis, qout.mixed, mask)
-    f = model.point_branch_decoder()(seq, pos)
+    decoder = model.decoder if model.cfg.siamese else model.point_decoder
+    f = decoder(seq, pos)
     f_m = ad.take(f, mask.masked_idx, axis=-2)
     pred = model.point_head(f_m)
     s = model.cfg.s

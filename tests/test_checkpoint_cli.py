@@ -289,14 +289,14 @@ def test_cli_eval_missing_tensor(trained, tmp_path, capsys):
 
 
 def test_frozen_codebook_checkpoint_reload_gives_identical_logits(trained, tmp_path):
-    from m3cs.cli import _datasets, _load_finetuned, _student_arrays
+    from m3cs.cli import _datasets, _load_arrays, _load_finetuned
     from m3cs.finetune import _cloud_batch, finetune_loop
 
     flags = {k[2:]: v for k, v in zip(TINY_FLAGS[::2], TINY_FLAGS[1::2])}
     cfg = load_config(overrides={**flags, "finetune.steps": 3, "finetune.batch_size": 2,
                                  "finetune.warmup": 1, "finetune.freeze_codebook": True})
     train, test = _datasets(cfg)
-    arrays, _ = _student_arrays(trained["ckpt"])
+    arrays, _ = _load_arrays(trained["ckpt"], "student.")
     model, _, _ = finetune_loop(train, None, cfg.model, cfg.finetune, seed=cfg.seed,
                                 init_arrays=arrays)
     path = tmp_path / "frozen.ckpt"
