@@ -22,10 +22,6 @@ def _st():
     return _state
 
 
-def current_dtype():
-    return _st().dtype
-
-
 @contextmanager
 def precision(dtype):
     """Temporarily switch the default dtype ('float32' or 'float64')."""

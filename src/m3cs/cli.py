@@ -6,15 +6,12 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from . import autodiff as ad
 from .checkpoint import (collect_finetune_state, collect_pretrain_state,
                          load_checkpoint, save_checkpoint)
 from .config import dump_config, load_config, to_flat
 from .data import gen_shapes, load_dataset, save_dataset
-from .finetune import FinetuneModel, evaluate, few_shot, finetune_loop
-from .geometry import PointCloud, group
+from .finetune import FinetuneModel, _cloud_batch, evaluate, few_shot, finetune_loop
 from .pretrain import PretrainModel, pretrain_loop
 from .rng import make_rng
 
@@ -75,7 +72,10 @@ def _prepare_out(cfg):
 def _load_arrays(ckpt_path, prefix):
     """A checkpoint's tensors named prefix + key, keyed by key, and its config."""
     tensors, ck_cfg = load_checkpoint(ckpt_path)
-    return {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}, ck_cfg
+    arrays = {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
+    if not arrays:
+        raise ValueError(f"{ckpt_path}: no '{prefix}' tensors")
+    return arrays, ck_cfg
 
 
 def _saved_run_config(ck_cfg):
@@ -188,21 +188,15 @@ def cmd_inspect_codebook(cfg):
     model.load_params(arrays)
     data_cfg = cfg if cfg.data.dir else saved
     _, test = _datasets(data_cfg)
-    limit = min(8, len(test.items))
+    groups, centers = _cloud_batch([c for c, _ in test.items[:8]], saved.model, None,
+                                   train=False)
+    with ad.no_grad():
+        tokens, pos = model.embed(groups, centers)
+        ids = model.quantizer.token_ids(model.encoder.final(tokens, pos))
     writer = csv.writer(sys.stdout)
     writer.writerow(["x", "y", "z", "token_id"])
-    with ad.no_grad():
-        for cloud, _ in test.items[:limit]:
-            if cloud.n > saved.model.n_points:
-                idx = make_rng(saved.seed, 60).choice(cloud.n, saved.model.n_points, replace=False)
-                cloud = PointCloud(points=cloud.points[idx])
-            ps = group(cloud, saved.model.g, saved.model.s, start=0)
-            tokens, pos = model.embed(ps.groups, ps.centers)
-            enc = model.encoder.final(tokens, pos)
-            ids = model.quantizer.token_ids(enc)
-            for center, tid in zip(ps.centers, np.atleast_1d(ids)):
-                writer.writerow([f"{center[0]:.6f}", f"{center[1]:.6f}",
-                                 f"{center[2]:.6f}", int(tid)])
+    for center, tid in zip(centers.reshape(-1, 3), ids.reshape(-1)):
+        writer.writerow([f"{center[0]:.6f}", f"{center[1]:.6f}", f"{center[2]:.6f}", int(tid)])
     return 0
 
 

@@ -51,11 +51,10 @@ def _sample_cube(n, rng):
     uv = rng.uniform(-half, half, size=(n, 2))
     pts = np.empty((n, 3))
     axis = face // 2
-    sign = np.where(face % 2 == 0, half, -half)
-    for i in range(n):
-        keep = [j for j in range(3) if j != axis[i]]
-        pts[i, axis[i]] = sign[i]
-        pts[i, keep] = uv[i]
+    rows = np.arange(n)
+    pts[rows, axis] = np.where(face % 2 == 0, half, -half)
+    # the two other axes, ascending, take the in-face coordinates
+    pts[rows[:, None], np.array([[1, 2], [0, 2], [0, 1]])[axis]] = uv
     return pts
 
 
@@ -125,10 +124,8 @@ def gen_shapes(families, per_class, points_per_cloud, rng, split="train", rotate
     return Dataset(items=items, class_names=list(families), split=split)
 
 
-def augment(cloud, rng, out_points=1024, identity=False):
+def augment(cloud, rng, out_points=1024):
     """Random anisotropic scale, translation, and subsampling to out_points."""
-    if identity:
-        return cloud
     pts = cloud.points * rng.uniform(0.8, 1.2, size=3) + rng.uniform(-0.1, 0.1, size=3)
     n = len(pts)
     if n >= out_points:

@@ -113,6 +113,11 @@ def load_pretrained(model, pretrain_model_or_arrays):
 
 
 def _cloud_batch(clouds, mcfg, rng, train=True):
+    """The one clouds-to-patches rule: dense (B,G,S,3) groups and (B,G,3) centers.
+
+    Training augments each cloud and starts FPS at a random point; otherwise a
+    cloud is resampled to mcfg.n_points (keyed by its position) and FPS starts at 0.
+    """
     all_groups, all_centers = [], []
     for i, cloud in enumerate(clouds):
         if train:

@@ -7,11 +7,11 @@ import numpy as np
 from .autodiff import ShapeError
 
 
-def lr_at(step, base_lr, total_steps, warmup=0, schedule="cosine"):
+def lr_at(step, base_lr, total_steps, warmup=0):
     """Learning rate for a 0-based step. Warmup is linear, then cosine to 0."""
     if warmup > 0 and step < warmup:
         return base_lr * (step + 1) / warmup
-    if schedule == "constant" or total_steps <= warmup:
+    if total_steps <= warmup:
         return base_lr
     progress = (step - warmup) / max(1, total_steps - warmup)
     progress = min(1.0, progress)
@@ -20,7 +20,7 @@ def lr_at(step, base_lr, total_steps, warmup=0, schedule="cosine"):
 
 class AdamW:
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.05, total_steps=0, warmup=0, schedule="cosine"):
+                 weight_decay=0.05, total_steps=0, warmup=0):
         self.params = dict(params)  # name -> Tensor
         self.lr = lr
         self.betas = betas
@@ -28,7 +28,6 @@ class AdamW:
         self.weight_decay = weight_decay
         self.total_steps = total_steps
         self.warmup = warmup
-        self.schedule = schedule
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -41,7 +40,7 @@ class AdamW:
         b1, b2 = self.betas
         self.step_count += 1
         t = self.step_count
-        lr = lr_at(t - 1, self.lr, self.total_steps, self.warmup, self.schedule)
+        lr = lr_at(t - 1, self.lr, self.total_steps, self.warmup)
         for name, p in self.params.items():
             g = p.grad
             if g is None:

@@ -11,8 +11,8 @@ from .autodiff import Tensor
 from .backbone import Backbone, EncoderStack, SiameseDecoder
 from .codebook import Codebook, Quantizer, perplexity, temperature
 from .config import ModelConfig, PretrainConfig
-from .data import augment
-from .geometry import chamfer_batch, group
+from .finetune import _cloud_batch
+from .geometry import chamfer_batch
 from .layers import Linear, init_param
 from .optim import AdamW
 from .rng import make_rng
@@ -237,13 +237,8 @@ def train_step(model, teacher, opt, batch, step, mcfg, pcfg, seed):
 def assemble_batch(dataset, batch_size, mcfg, rng):
     """Sample clouds, augment, group; returns dense (B,G,S,3) + (B,G,3) arrays."""
     picks = rng.integers(len(dataset.items), size=batch_size)
-    all_groups, all_centers = [], []
-    for i in picks:
-        cloud = augment(dataset.items[int(i)][0], rng, out_points=mcfg.n_points)
-        ps = group(cloud, mcfg.g, mcfg.s, start=int(rng.integers(cloud.n)))
-        all_groups.append(ps.groups)
-        all_centers.append(ps.centers)
-    return {"groups": np.stack(all_groups), "centers": np.stack(all_centers)}
+    groups, centers = _cloud_batch([dataset.items[int(i)][0] for i in picks], mcfg, rng)
+    return {"groups": groups, "centers": centers}
 
 
 def pretrain_loop(dataset, mcfg: ModelConfig, pcfg: PretrainConfig, seed=0,

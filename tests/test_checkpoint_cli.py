@@ -249,6 +249,43 @@ def test_cli_inspect_codebook(trained, capsys):
         assert 0 <= int(tid) < 8
 
 
+def test_cli_inspect_codebook_shows_eval_patches(tmp_path, capsys):
+    from m3cs.cli import _datasets, _saved_run_config
+    from m3cs.finetune import _cloud_batch
+
+    # clouds of 100 points, patched from 64 as evaluation patches them
+    pre_dir = str(tmp_path / "pre")
+    rc = main(["pretrain", "--out-dir", pre_dir, "--steps", "2", "--batch-size", "2",
+               "--pretrain.warmup", "1", *TINY_FLAGS, "--data.points", "100"])
+    assert rc == 0
+    ckpt = os.path.join(pre_dir, "pretrain.ckpt")
+    capsys.readouterr()
+    assert main(["inspect-codebook", "--checkpoint", ckpt]) == 0
+    rows = [line.split(",")[:3] for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    saved = _saved_run_config(load_checkpoint(ckpt)[1])
+    _, test = _datasets(saved)
+    _, centers = _cloud_batch([c for c, _ in test.items[:8]], saved.model, None, train=False)
+    assert rows == [[f"{v:.6f}" for v in center] for center in centers.reshape(-1, 3)]
+
+
+@pytest.mark.parametrize("command, kind, prefix, flags", [
+    ("finetune", "finetune", "student.", ["--steps", "1", "--batch-size", "2"]),
+    ("fewshot", "finetune", "student.", ["--runs", "1", "--way", "2", "--shot", "1",
+                                         "--fewshot.query", "1", "--fewshot.steps", "1"]),
+    ("inspect-codebook", "finetune", "student.", []),
+    ("eval", "pretrain", "model.", []),
+])
+def test_cli_refuses_checkpoint_of_wrong_kind(trained, tmp_path, capsys, command, kind,
+                                              prefix, flags):
+    ckpt = trained["ckpt"] if kind == "pretrain" else os.path.join(trained["ft_dir"],
+                                                                   "finetune.ckpt")
+    rc = main([command, "--out-dir", str(tmp_path / "o"), "--checkpoint", ckpt, *flags,
+               *TINY_FLAGS])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"m3cs {command}: error: {ckpt}: no '{prefix}' tensors"]
+
+
 def test_cli_unknown_config_key(tmp_path, capsys):
     rc = main(["pretrain", "--out-dir", str(tmp_path / "p"), "--model.width", "8"])
     assert rc == 1

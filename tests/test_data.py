@@ -4,6 +4,7 @@ import pytest
 from m3cs.autodiff import Tensor
 from m3cs.data import (
     FAMILIES,
+    _sample_cube,
     augment,
     gen_shapes,
     load_dataset,
@@ -34,6 +35,30 @@ def test_cube_points_on_faces():
         on_face = np.isclose(np.abs(cloud.points), half, atol=1e-9).any(axis=1)
         assert on_face.all()
         assert 0.5 <= half <= 0.9
+
+
+def _sample_cube_loop(n, rng):
+    # the per-point form of the cube sampler, kept as an oracle
+    half = rng.uniform(0.5, 0.9)
+    face = rng.integers(6, size=n)
+    uv = rng.uniform(-half, half, size=(n, 2))
+    pts = np.empty((n, 3))
+    axis = face // 2
+    sign = np.where(face % 2 == 0, half, -half)
+    for i in range(n):
+        keep = [j for j in range(3) if j != axis[i]]
+        pts[i, axis[i]] = sign[i]
+        pts[i, keep] = uv[i]
+    return pts
+
+
+@pytest.mark.parametrize("n", [1, 7, 200, 1024])
+def test_cube_sampler_matches_per_point_oracle(n):
+    for seed in range(5):
+        rng, oracle_rng = make_rng(seed, n), make_rng(seed, n)
+        np.testing.assert_array_equal(_sample_cube(n, rng), _sample_cube_loop(n, oracle_rng))
+        # both consume the same draws
+        assert rng.integers(1 << 30) == oracle_rng.integers(1 << 30)
 
 
 def test_cylinder_points_on_surface():
@@ -107,12 +132,6 @@ def test_rotation_preserves_distances():
 
 
 # ------------------------------------------------------------------- augment
-
-
-def test_augment_identity_passthrough():
-    cloud = PointCloud(points=make_rng(9).normal(size=(50, 3)))
-    out = augment(cloud, make_rng(10), out_points=32, identity=True)
-    assert out is cloud
 
 
 def test_augment_output_size():

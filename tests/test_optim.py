@@ -14,7 +14,7 @@ def make_param(value):
 
 def test_zero_grad_zero_decay_leaves_param():
     p = make_param([1.0, -2.0])
-    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0, schedule="constant")
+    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
     p.grad = np.zeros(2, dtype=np.float32)
     opt.step()
     np.testing.assert_allclose(p.data, [1.0, -2.0])
@@ -23,7 +23,7 @@ def test_zero_grad_zero_decay_leaves_param():
 def test_first_step_moves_by_lr():
     # hand-computed: m_hat = v_hat = 1 after bias correction, update = lr/(1+eps)
     p = make_param([0.0])
-    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0, schedule="constant")
+    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
     p.grad = np.ones(1, dtype=np.float32)
     opt.step()
     np.testing.assert_allclose(p.data, [-0.1], atol=1e-6)
@@ -31,7 +31,7 @@ def test_first_step_moves_by_lr():
 
 def test_decoupled_weight_decay_only():
     p = make_param([2.0])
-    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.05, schedule="constant")
+    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.05)
     p.grad = np.zeros(1, dtype=np.float32)
     opt.step()
     np.testing.assert_allclose(p.data, [2.0 * (1 - 0.005)], rtol=1e-6)
@@ -39,7 +39,7 @@ def test_decoupled_weight_decay_only():
 
 def test_grad_shape_mismatch():
     p = make_param([1.0, 2.0])
-    opt = AdamW({"p": p}, schedule="constant")
+    opt = AdamW({"p": p})
     p.grad = np.zeros(3, dtype=np.float32)
     with pytest.raises(ShapeError, match="optimizer"):
         opt.step()
@@ -53,18 +53,17 @@ def test_lr_schedule_boundaries():
     # cosine midpoint
     mid = lr_at(55, 1.0, 100, warmup=10)
     assert mid == pytest.approx(0.5, abs=1e-6)
-    assert lr_at(5, 1.0, 100, warmup=0, schedule="constant") == 1.0
 
 
 def test_state_roundtrip():
     p = make_param([1.0])
-    opt = AdamW({"p": p}, lr=0.1, schedule="constant")
+    opt = AdamW({"p": p}, lr=0.1)
     p.grad = np.ones(1, dtype=np.float32)
     opt.step()
     state = {k: v.copy() for k, v in opt.state_arrays().items()}
 
     p2 = make_param([1.0])
-    opt2 = AdamW({"p": p2}, lr=0.1, schedule="constant")
+    opt2 = AdamW({"p": p2}, lr=0.1)
     opt2.load_state_arrays(state)
     assert opt2.step_count == 1
     np.testing.assert_array_equal(opt2.m["p"], opt.m["p"])
