@@ -217,6 +217,35 @@ def matmul(a, b):
     return _record(out, (a, b), vjp)
 
 
+def linear(x, w, b):
+    """x @ w + b over the last axis of x, for a (K, N) weight w and (N,) bias b.
+
+    The forward pass is one 2-D GEMM over x's folded leading dims. The VJP is
+    the arithmetic of add(matmul(x, w), b), batched as there: folding the
+    weight-gradient GEMM or the bias sum would reorder float sums.
+    """
+    x = as_tensor(x)
+    k, n = w.shape
+    if x.shape[-1] != k or b.shape != (n,):
+        raise ShapeError(f"linear: {list(x.shape)} @ {list(w.shape)} + {list(b.shape)}")
+    y = x.data.reshape(-1, k) @ w.data
+    y += b.data
+    out = Tensor(y.reshape(*x.shape[:-1], n))
+
+    def vjp(g):
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = np.matmul(g, w.data.T)
+        if w.requires_grad:
+            gw = (np.multiply.outer(x.data, g) if x.ndim == 1 else
+                  _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape))
+        if b.requires_grad:
+            gb = _unbroadcast(g, b.shape)
+        return gx, gw, gb
+
+    return _record(out, (x, w, b), vjp)
+
+
 def transpose(a, axes=None):
     out = Tensor(np.transpose(a.data, axes))
     inv = None if axes is None else np.argsort(axes)
@@ -276,14 +305,13 @@ def log_softmax(a):
 def layer_norm(a, eps=1e-6):
     """Parameter-free normalization over the last axis (mean 0, variance 1)."""
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    # x.var computes x - mu and the mean of its square the same way; do it once
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
     out = Tensor(xhat)
 
     def vjp(g):
-        n = x.shape[-1]
         gm = g.mean(axis=-1, keepdims=True)
         gx = (g * xhat).mean(axis=-1, keepdims=True)
         return (inv * (g - gm - xhat * gx),)
@@ -310,9 +338,10 @@ def gelu(a):
 def max_reduce(a, axis):
     x = a.data
     out = Tensor(x.max(axis=axis))
-    arg = np.expand_dims(x.argmax(axis=axis), axis)
 
     def vjp(g):
+        # argmax (first index on ties) only when a gradient is asked for
+        arg = np.expand_dims(x.argmax(axis=axis), axis)
         ga = np.zeros_like(x)
         np.put_along_axis(ga, arg, np.expand_dims(g, axis), axis=axis)
         return (ga,)

@@ -64,6 +64,12 @@ def _datasets(cfg):
     return _generate(cfg)
 
 
+def _refuse_empty(ds):
+    """Fail with one line, before any work, when a set the command needs has no clouds."""
+    if not ds.items:
+        raise ValueError(f"the {ds.split} set is empty")
+
+
 def _prepare_out(cfg):
     os.makedirs(cfg.out_dir, exist_ok=True)
     dump_config(cfg, os.path.join(cfg.out_dir, "config.json"))
@@ -112,6 +118,7 @@ def cmd_pretrain(cfg):
 def cmd_finetune(cfg):
     _prepare_out(cfg)
     train, test = _datasets(cfg)
+    _refuse_empty(test)
     init_arrays = None
     if not cfg.finetune.from_scratch:
         if not cfg.checkpoint:
@@ -149,6 +156,7 @@ def cmd_eval(cfg):
     model, saved = _load_finetuned(cfg)
     data_cfg = cfg if cfg.data.dir else saved
     _, test = _datasets(data_cfg)
+    _refuse_empty(test)
     acc = evaluate(model, test, saved.model, saved.finetune)
     print(f"test accuracy: {acc:.4f}")
     return 0
@@ -188,6 +196,7 @@ def cmd_inspect_codebook(cfg):
     model.load_params(arrays)
     data_cfg = cfg if cfg.data.dir else saved
     _, test = _datasets(data_cfg)
+    _refuse_empty(test)
     groups, centers = _cloud_batch([c for c, _ in test.items[:8]], saved.model, None,
                                    train=False)
     with ad.no_grad():

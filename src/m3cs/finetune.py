@@ -151,6 +151,8 @@ def finetune_step(model, opt, clouds, labels, mcfg, fcfg, rng):
 
 def evaluate(model, dataset, mcfg, fcfg, batch=32):
     """Test accuracy over a dataset, deterministic grouping, no augmentation."""
+    if not dataset.items:
+        raise ValueError("evaluate: empty dataset")
     correct = total = 0
     with ad.no_grad():
         for lo in range(0, len(dataset.items), batch):

@@ -57,7 +57,7 @@ class Linear(Module):
         self.b = init_param(rng, (d_out,), 0.0)
 
     def __call__(self, x):
-        return ad.add(ad.matmul(x, self.w), self.b)
+        return ad.linear(x, self.w, self.b)
 
 
 class Mlp(Module):

@@ -111,6 +111,9 @@ PRIMITIVES = [
     ("square", lambda a: ad.square(a), 1, [(3, 4)]),
     ("log", lambda a: ad.log(ad.add(ad.mul(a, a), Tensor(np.full((3, 4), 0.5)))), 1, [(3, 4)]),
     ("smooth_l1", lambda a, b: ad.smooth_l1(a, b), 2, [(3, 4), (3, 4)]),
+    ("linear_2d", lambda x, w, b: ad.linear(x, w, b), 3, [(3, 4), (4, 5), (5,)]),
+    ("linear_3d", lambda x, w, b: ad.linear(x, w, b), 3, [(2, 3, 4), (4, 5), (5,)]),
+    ("linear_4d", lambda x, w, b: ad.linear(x, w, b), 3, [(2, 2, 3, 4), (4, 5), (5,)]),
 ]
 
 
@@ -125,6 +128,106 @@ def test_primitive_finite_difference(name, fn, nargs, shapes):
             return out if out.size == 1 else ad.sum_reduce(ad.mul(out, out))
 
         gradcheck(loss, args, rtol=1e-4)
+
+
+@given(st.lists(st.integers(1, 3), max_size=3), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_linear_gradcheck_any_leading_dims(lead, k, n, seed):
+    with precision("float64"):
+        rng = make_rng(seed)
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((*lead, k), (k, n), (n,)))
+
+        def loss():
+            out = ad.linear(x, w, b)
+            return ad.sum_reduce(ad.mul(out, out))
+
+        assert gradcheck(loss, [x, w, b], rtol=1e-4) < 1e-4
+
+
+def _matmul_add(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def _run_graph(build, arrays, grad_out):
+    """Output and leaf gradients of sum(build(*leaves) * grad_out), in float32."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = build(*leaves)
+    backward(ad.sum_reduce(ad.mul(out, Tensor(grad_out))))
+    return [out.data] + [t.grad for t in leaves]
+
+
+# the encoder's qkv and the tokenizer's second point layer at desk shapes
+@pytest.mark.parametrize("xshape,wshape", [((16, 32, 96), (96, 384)),
+                                           ((16, 32, 16, 64), (64, 128))])
+def test_linear_bitwise_equals_matmul_add(xshape, wshape):
+    rng = make_rng(30)
+    arrays = [rng.normal(size=xshape), rng.normal(size=wshape) / np.sqrt(wshape[0]),
+              rng.normal(size=wshape[1:])]
+    grad_out = rng.normal(size=(*xshape[:-1], wshape[1]))
+    new = _run_graph(ad.linear, arrays, grad_out)
+    old = _run_graph(_matmul_add, arrays, grad_out)
+    for a, b in zip(new, old):
+        assert a.dtype == np.float32 and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def test_linear_shared_weight_bitwise_equals_matmul_add():
+    # w and b serve two layers, the first on an input that needs no gradient
+    # (as the tokenizer's raw patches), so leaf gradients accumulate twice
+    rng = make_rng(31)
+    raw = rng.normal(size=(16, 32, 96))
+    arrays = [rng.normal(size=(96, 96)) / np.sqrt(96), rng.normal(size=(96,))]
+    grad_out = rng.normal(size=(16, 32, 96))
+    results = []
+    for fn in (ad.linear, _matmul_add):
+        x = Tensor(raw)
+
+        def build(w, b):
+            return fn(ad.gelu(fn(x, w, b)), w, b)
+
+        results.append(_run_graph(build, arrays, grad_out))
+        assert x.grad is None
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
+
+
+def test_linear_vjp_skips_operands_without_grad():
+    x, w, b = Tensor(np.ones((2, 3))), rand(3, 4), Tensor(np.zeros(4))
+    out = ad.linear(x, w, b)
+    gx, gw, gb = ad._st().graph[-1].vjp(np.ones(out.shape, dtype=np.float32))
+    ad.clear_graph()
+    assert gx is None and gb is None
+    np.testing.assert_array_equal(gw, np.full((3, 4), 2.0))
+
+
+def test_linear_shape_error():
+    with pytest.raises(ShapeError, match="linear"):
+        ad.linear(rand(2, 3), rand(4, 5), rand(5))
+    with pytest.raises(ShapeError, match="linear"):
+        ad.linear(rand(2, 4), rand(4, 5), rand(4))
+
+
+def test_max_reduce_ties_send_gradient_to_first_index():
+    # column 0 peaks at rows 1 and 2, column 1 at every row
+    x = Tensor([[1.0, 2.0], [3.0, 2.0], [3.0, 2.0]], requires_grad=True)
+    out = ad.max_reduce(x, axis=-2)
+    np.testing.assert_array_equal(out.data, [3.0, 2.0])
+    backward(ad.sum_reduce(ad.mul(out, Tensor([5.0, 7.0]))))
+    np.testing.assert_array_equal(x.grad, [[0.0, 7.0], [5.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_layer_norm_bitwise_equals_two_pass_formula(dtype):
+    # the formula layer_norm had before it reused x - mean for the variance
+    with precision(dtype):
+        x = Tensor(make_rng(12).normal(3.0, 2.0, size=(16, 32, 96)))
+        ref = (x.data - x.data.mean(axis=-1, keepdims=True)) * \
+            (1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + 1e-6))
+        out = ad.layer_norm(x).data
+    assert out.dtype == np.dtype(dtype)
+    assert np.array_equal(out, ref)
 
 
 def test_determinism_same_seed_bit_identical():

@@ -286,6 +286,32 @@ def test_cli_refuses_checkpoint_of_wrong_kind(trained, tmp_path, capsys, command
     assert err == [f"m3cs {command}: error: {ckpt}: no '{prefix}' tensors"]
 
 
+@pytest.mark.parametrize("command, kind, flags", [
+    ("finetune", "pretrain", ["--steps", "1", "--batch-size", "2",
+                              "--data.per_class_test", "0"]),
+    ("finetune", "pretrain", ["--steps", "1", "--batch-size", "2", "--data.dir"]),
+    ("eval", "finetune", ["--data.dir"]),
+    ("inspect-codebook", "pretrain", ["--data.dir"]),
+])
+def test_cli_refuses_empty_test_set(trained, tmp_path, capsys, command, kind, flags):
+    # an empty test set is given by the flag, or by a data dir whose test split is empty
+    data_dir = str(tmp_path / "data")
+    assert main(["gen-data", "--dir", data_dir, *TINY_FLAGS, "--data.per_class_test", "0"]) == 0
+    if flags[-1] == "--data.dir":
+        flags = [*flags, data_dir]
+    ckpt = trained["ckpt"] if kind == "pretrain" else os.path.join(trained["ft_dir"],
+                                                                   "finetune.ckpt")
+    out_dir = tmp_path / "o"
+    capsys.readouterr()
+    rc = main([command, "--out-dir", str(out_dir), "--checkpoint", ckpt, *TINY_FLAGS, *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [f"m3cs {command}: error: the test set is empty"]
+    assert captured.out == ""
+    assert not (out_dir / "finetune_metrics.csv").exists()
+    assert not (out_dir / "finetune.ckpt").exists()
+
+
 def test_cli_unknown_config_key(tmp_path, capsys):
     rc = main(["pretrain", "--out-dir", str(tmp_path / "p"), "--model.width", "8"])
     assert rc == 1

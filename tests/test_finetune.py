@@ -257,6 +257,13 @@ def test_evaluate_is_deterministic():
     assert 0.0 <= a <= 1.0
 
 
+def test_evaluate_refuses_empty_dataset():
+    model = FinetuneModel(make_rng(21), TINY, n_classes=4)
+    empty = Dataset(items=[], class_names=list("abcd"), split="test")
+    with pytest.raises(ValueError, match="empty"):
+        evaluate(model, empty, TINY, FinetuneConfig())
+
+
 def test_finetune_replay_determinism():
     train = four_class_dataset(2, 22)
     test = four_class_dataset(1, 23, "test")
