@@ -305,7 +305,7 @@ def log_softmax(a):
 def layer_norm(a, eps=1e-6):
     """Parameter-free normalization over the last axis (mean 0, variance 1)."""
     x = a.data
-    # x.var computes x - mu and the mean of its square the same way; do it once
+    # the x - mean and mean square that x.var computes internally, computed once
     xhat = x - x.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
     xhat *= inv

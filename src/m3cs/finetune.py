@@ -217,6 +217,8 @@ class FewShotEpisode:
 
 def sample_episode(dataset, way, shot, query, rng):
     """K-way N-shot episode: N support + `query` query samples per class, disjoint."""
+    if query < 1:
+        raise ValueError("the query set is empty")
     buckets = dataset.by_class()
     eligible = [c for c, idxs in buckets.items() if len(idxs) >= shot + query]
     if len(eligible) < way:

@@ -286,15 +286,18 @@ def test_cli_refuses_checkpoint_of_wrong_kind(trained, tmp_path, capsys, command
     assert err == [f"m3cs {command}: error: {ckpt}: no '{prefix}' tensors"]
 
 
-@pytest.mark.parametrize("command, kind, flags", [
+@pytest.mark.parametrize("command, kind, flags, split", [
     ("finetune", "pretrain", ["--steps", "1", "--batch-size", "2",
-                              "--data.per_class_test", "0"]),
-    ("finetune", "pretrain", ["--steps", "1", "--batch-size", "2", "--data.dir"]),
-    ("eval", "finetune", ["--data.dir"]),
-    ("inspect-codebook", "pretrain", ["--data.dir"]),
+                              "--data.per_class_test", "0"], "test"),
+    ("finetune", "pretrain", ["--steps", "1", "--batch-size", "2", "--data.dir"], "test"),
+    ("eval", "finetune", ["--data.dir"], "test"),
+    ("inspect-codebook", "pretrain", ["--data.dir"], "test"),
+    ("fewshot", "pretrain", ["--runs", "1", "--way", "2", "--shot", "1",
+                             "--fewshot.query", "0", "--fewshot.steps", "1"], "query"),
 ])
-def test_cli_refuses_empty_test_set(trained, tmp_path, capsys, command, kind, flags):
-    # an empty test set is given by the flag, or by a data dir whose test split is empty
+def test_cli_refuses_empty_test_set(trained, tmp_path, capsys, command, kind, flags, split):
+    # an empty test set comes from the flag or from a data dir with an empty test split;
+    # fewshot's per-episode test set is its query set
     data_dir = str(tmp_path / "data")
     assert main(["gen-data", "--dir", data_dir, *TINY_FLAGS, "--data.per_class_test", "0"]) == 0
     if flags[-1] == "--data.dir":
@@ -306,10 +309,11 @@ def test_cli_refuses_empty_test_set(trained, tmp_path, capsys, command, kind, fl
     rc = main([command, "--out-dir", str(out_dir), "--checkpoint", ckpt, *TINY_FLAGS, *flags])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.err.strip().splitlines() == [f"m3cs {command}: error: the test set is empty"]
+    assert captured.err.strip().splitlines() == \
+        [f"m3cs {command}: error: the {split} set is empty"]
     assert captured.out == ""
-    assert not (out_dir / "finetune_metrics.csv").exists()
-    assert not (out_dir / "finetune.ckpt").exists()
+    for name in ("finetune_metrics.csv", "finetune.ckpt", "fewshot.csv"):
+        assert not (out_dir / name).exists()
 
 
 def test_cli_unknown_config_key(tmp_path, capsys):
