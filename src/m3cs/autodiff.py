@@ -72,11 +72,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def check_finite(self, what="tensor"):
-        if not np.all(np.isfinite(self.data)):
-            raise FloatingPointError(f"non-finite values in {what}")
-        return self
-
     def __repr__(self):
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
 
@@ -198,20 +193,14 @@ def scalar_mul(a, s):
 
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-        raise ShapeError(f"matmul: inner dims differ, {list(a.shape)} @ {list(b.shape)}")
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: needs >=2-D operands with equal inner dims, "
+                         f"{list(a.shape)} @ {list(b.shape)}")
     out = Tensor(np.matmul(a.data, b.data))
 
     def vjp(g):
-        if b.ndim == 1:
-            ga = np.multiply.outer(g, b.data) if g.ndim else g * b.data
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g) if a.ndim > 1 else a.data * g
-            return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if a.ndim == 1:
-            gb = np.multiply.outer(a.data, g)
-        else:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _record(out, (a, b), vjp)
@@ -244,12 +233,6 @@ def linear(x, w, b):
         return gx, gw, gb
 
     return _record(out, (x, w, b), vjp)
-
-
-def transpose(a, axes=None):
-    out = Tensor(np.transpose(a.data, axes))
-    inv = None if axes is None else np.argsort(axes)
-    return _record(out, (a,), lambda g: (np.transpose(g, inv),))
 
 
 def swap_axes(a, ax1, ax2):
@@ -370,16 +353,6 @@ def mean_reduce(a, axis=None):
         return (np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy(),)
 
     return _record(out, (a,), vjp)
-
-
-def square(a):
-    out = Tensor(a.data * a.data)
-    return _record(out, (a,), lambda g: (2.0 * g * a.data,))
-
-
-def log(a):
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
 
 
 def smooth_l1(x, y, beta=1.0):

@@ -8,6 +8,8 @@ Round trips are bit-exact for float32 data; unknown versions are refused.
 """
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -34,11 +36,15 @@ def save_checkpoint(path, tensors, config):
 
 
 def _read(fh, path, n):
-    """Exactly n bytes from fh; fewer means the file was cut short."""
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ValueError(f"{path}: truncated at byte {fh.tell()}")
-    return buf
+    """Exactly n bytes from fh, refused before anything is allocated when fewer are left.
+
+    A cut file and a corrupt length field both declare more bytes than remain;
+    the bytes cannot tell the two apart, so both read as cut short.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    if n > size - fh.tell():
+        raise ValueError(f"{path}: truncated at byte {size}")
+    return fh.read(n)
 
 
 def _unpack(fh, path, fmt):
@@ -59,8 +65,7 @@ def load_checkpoint(path):
             name = _read(fh, path, name_len).decode("utf-8")
             (rank,) = _unpack(fh, path, "<I")
             dims = _unpack(fh, path, f"<{rank}Q")
-            n = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(_read(fh, path, 4 * n), dtype="<f4").reshape(dims)
+            data = np.frombuffer(_read(fh, path, 4 * math.prod(dims)), dtype="<f4").reshape(dims)
             tensors[name] = data.copy()
         (json_len,) = _unpack(fh, path, "<Q")
         config = json.loads(_read(fh, path, json_len).decode("utf-8"))

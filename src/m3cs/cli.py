@@ -9,7 +9,7 @@ import sys
 from . import autodiff as ad
 from .checkpoint import (collect_finetune_state, collect_pretrain_state,
                          load_checkpoint, save_checkpoint)
-from .config import dump_config, load_config, to_flat
+from .config import DataConfig, dump_config, load_config, to_flat
 from .data import gen_shapes, load_dataset, save_dataset
 from .finetune import FinetuneModel, _cloud_batch, evaluate, few_shot, finetune_loop
 from .pretrain import PretrainModel, pretrain_loop
@@ -23,8 +23,6 @@ ALIASES = {
     "finetune": {"steps": "finetune.steps", "batch-size": "finetune.batch_size"},
     "fewshot": {"runs": "fewshot.runs", "way": "fewshot.way", "shot": "fewshot.shot"},
     "gen-data": {"dir": "data.dir"},
-    "eval": {},
-    "inspect-codebook": {},
 }
 
 
@@ -68,6 +66,23 @@ def _refuse_empty(ds):
     """Fail with one line, before any work, when a set the command needs has no clouds."""
     if not ds.items:
         raise ValueError(f"the {ds.split} set is empty")
+
+
+def _saved_test_set(cfg, saved):
+    """The test set of --data.dir, else the one regenerated from the checkpoint's config.
+
+    Without --data.dir any other --data.* setting would be dropped, so it is refused.
+    """
+    if not cfg.data.dir:
+        default = DataConfig()
+        for f in dataclasses.fields(default):
+            if getattr(cfg.data, f.name) != getattr(default, f.name):
+                raise ValueError(f"data.{f.name} needs --data.dir; without it the "
+                                 f"test set is rebuilt from the checkpoint's config")
+        cfg = saved
+    _, test = _datasets(cfg)
+    _refuse_empty(test)
+    return test
 
 
 def _prepare_out(cfg):
@@ -154,9 +169,7 @@ def cmd_eval(cfg):
     if not cfg.checkpoint:
         raise FileNotFoundError("eval needs --checkpoint pointing at a finetune checkpoint")
     model, saved = _load_finetuned(cfg)
-    data_cfg = cfg if cfg.data.dir else saved
-    _, test = _datasets(data_cfg)
-    _refuse_empty(test)
+    test = _saved_test_set(cfg, saved)
     acc = evaluate(model, test, saved.model, saved.finetune)
     print(f"test accuracy: {acc:.4f}")
     return 0
@@ -194,9 +207,7 @@ def cmd_inspect_codebook(cfg):
     saved = _saved_run_config(ck_cfg)
     model = PretrainModel(make_rng(saved.seed, 0), saved.model)
     model.load_params(arrays)
-    data_cfg = cfg if cfg.data.dir else saved
-    _, test = _datasets(data_cfg)
-    _refuse_empty(test)
+    test = _saved_test_set(cfg, saved)
     groups, centers = _cloud_batch([c for c, _ in test.items[:8]], saved.model, None,
                                    train=False)
     with ad.no_grad():

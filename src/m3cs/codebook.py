@@ -70,6 +70,8 @@ class Quantizer(Module):
 
 def temperature(step, total_steps, schedule="cosine", tau_start=1.0, tau_end=0.0625):
     """Anneal the Gumbel-softmax temperature from tau_start down to tau_end."""
+    if schedule not in ("cosine", "constant"):
+        raise ValueError(f"unknown temperature schedule '{schedule}'")
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     if schedule == "constant":

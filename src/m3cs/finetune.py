@@ -102,13 +102,6 @@ class FinetuneModel(Backbone):
         return self.head(o, rng=rng, training=training)
 
 
-def load_pretrained(model, pretrain_model_or_arrays):
-    """Copy shared-module weights; the two models share no other tensor name."""
-    src = pretrain_model_or_arrays
-    arrays = src if isinstance(src, dict) else {k: p.data for k, p in src.params().items()}
-    return model.load_params(arrays)
-
-
 # ------------------------------------------------------------------ training
 
 
@@ -179,7 +172,7 @@ def finetune_loop(train_ds, test_ds, mcfg, fcfg, seed=0, init_arrays=None,
     model = FinetuneModel(make_rng(seed, 10), mcfg, n_classes,
                           hidden=fcfg.hidden, dropout=fcfg.dropout)
     if init_arrays is not None:
-        load_pretrained(model, init_arrays)
+        model.load_params(init_arrays)
     opt = AdamW(trainable_params(model, fcfg), lr=fcfg.lr,
                 weight_decay=fcfg.weight_decay, total_steps=fcfg.steps,
                 warmup=fcfg.warmup)

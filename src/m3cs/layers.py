@@ -40,7 +40,11 @@ class Module:
         """Copy values into the tensors whose names appear in arrays (shapes must agree)."""
         for key, p in self.named_tensors().items():
             if key in arrays:
-                p.data = np.asarray(arrays[key], dtype=p.data.dtype).reshape(p.data.shape).copy()
+                a = np.asarray(arrays[key], dtype=p.data.dtype)
+                if a.shape != p.shape:
+                    raise ValueError(f"tensor '{key}' has shape {list(a.shape)}, "
+                                     f"the model's is {list(p.shape)}")
+                p.data = a.copy()
         return self
 
     def param_count(self):

@@ -25,19 +25,7 @@ METRICS_HEADER = ["step", "l_align", "l_rec", "l_total", "lambda", "tau", "perpl
 
 @dataclass
 class MaskSpec:
-    masked: np.ndarray  # (G,) bool
-    ratio: float
-    kind: str
-
-    def __post_init__(self):
-        self.masked = np.asarray(self.masked, dtype=bool)
-        g = len(self.masked)
-        want = round(self.ratio * g)
-        have = int(self.masked.sum())
-        if have != want:
-            raise ValueError(f"mask count {have} != round(ratio*G) = {want}")
-        if have == 0 or have == g:
-            raise ValueError("mask must leave at least one visible and one masked patch")
+    masked: np.ndarray  # (G,) bool, _mask_count of them True
 
     @property
     def masked_idx(self):
@@ -61,7 +49,7 @@ def mask_random(g, ratio, rng):
     count = _mask_count(g, ratio)
     masked = np.zeros(g, dtype=bool)
     masked[rng.choice(g, size=count, replace=False)] = True
-    return MaskSpec(masked=masked, ratio=ratio, kind="random")
+    return MaskSpec(masked)
 
 
 def mask_block(centers, ratio, rng):
@@ -74,7 +62,7 @@ def mask_block(centers, ratio, rng):
     order = np.argsort(d, kind="stable")
     masked = np.zeros(g, dtype=bool)
     masked[order[:count]] = True
-    return MaskSpec(masked=masked, ratio=ratio, kind="block")
+    return MaskSpec(masked)
 
 
 def make_mask(kind, g, ratio, rng, centers=None):
@@ -149,8 +137,7 @@ def forward_targets(tokens, pos, mask, teacher):
     with ad.no_grad():
         h = teacher.encoder.final(tokens, pos)
         y = ad.layer_norm(h)
-        y = ad.take(y, mask.masked_idx, axis=-2)
-    return Tensor(y.data)
+        return ad.take(y, mask.masked_idx, axis=-2)
 
 
 def _scatter_by_position(vis_part, masked_part, mask):
@@ -206,8 +193,7 @@ def train_step(model, teacher, opt, batch, step, mcfg, pcfg, seed):
     mask_rng = make_rng(seed, 2, step)
     # one mask per step, shared across the batch (keeps every tensor dense);
     # block masking uses the first cloud's center geometry
-    ref_centers = centers[0] if centers.ndim == 3 else centers
-    mask = make_mask(pcfg.mask_kind, mcfg.g, pcfg.mask_ratio, mask_rng, centers=ref_centers)
+    mask = make_mask(pcfg.mask_kind, mcfg.g, pcfg.mask_ratio, mask_rng, centers=centers[0])
     y = forward_targets(tokens, pos, mask, teacher)
     x, enc_vis = forward_student(model, tokens, pos, mask)
     l_align = align_loss(x, y, pcfg.beta)

@@ -42,6 +42,10 @@ def test_softmax_rows_sum_to_one(seed):
 def test_shape_mismatch_names_primitive():
     with pytest.raises(ShapeError, match="matmul"):
         ad.matmul(rand(2, 3), rand(2, 3))
+    with pytest.raises(ShapeError, match="matmul"):
+        ad.matmul(rand(2, 3), rand(3))
+    with pytest.raises(ShapeError, match="matmul"):
+        ad.matmul(rand(3), rand(3, 2))
     with pytest.raises(ShapeError, match="add"):
         ad.add(rand(2, 3), rand(4, 5))
 
@@ -73,12 +77,6 @@ def test_detached_tensor_gets_no_grad():
     assert c.grad is None
 
 
-def test_check_finite():
-    with pytest.raises(FloatingPointError):
-        Tensor([1.0, np.inf]).check_finite()
-    Tensor([1.0, 2.0]).check_finite()
-
-
 def test_grad_accumulates_across_uses():
     x = Tensor([2.0], requires_grad=True)
     backward(ad.add(ad.sum_reduce(ad.mul(x, x)), ad.sum_reduce(x)))
@@ -94,7 +92,6 @@ PRIMITIVES = [
     ("scalar_mul", lambda a: ad.scalar_mul(a, -1.7), 1, [(3, 4)]),
     ("matmul", lambda a, b: ad.matmul(a, b), 2, [(3, 4), (4, 5)]),
     ("matmul_batched", lambda a, b: ad.matmul(a, b), 2, [(2, 3, 4), (2, 4, 5)]),
-    ("transpose", lambda a: ad.transpose(a, (1, 0)), 1, [(3, 4)]),
     ("swap_axes", lambda a: ad.swap_axes(a, -1, -2), 1, [(2, 3, 4)]),
     ("reshape", lambda a: ad.reshape(a, (12,)), 1, [(3, 4)]),
     ("concat", lambda a, b: ad.concat([a, b], axis=0), 2, [(2, 3), (4, 3)]),
@@ -108,8 +105,6 @@ PRIMITIVES = [
     ("mean_reduce", lambda a: ad.mean_reduce(a, axis=1), 1, [(3, 5)]),
     ("mean_all", lambda a: ad.mean_reduce(a), 1, [(3, 5)]),
     ("sum_reduce", lambda a: ad.sum_reduce(a, axis=0), 1, [(3, 5)]),
-    ("square", lambda a: ad.square(a), 1, [(3, 4)]),
-    ("log", lambda a: ad.log(ad.add(ad.mul(a, a), Tensor(np.full((3, 4), 0.5)))), 1, [(3, 4)]),
     ("smooth_l1", lambda a, b: ad.smooth_l1(a, b), 2, [(3, 4), (3, 4)]),
     ("linear_2d", lambda x, w, b: ad.linear(x, w, b), 3, [(3, 4), (4, 5), (5,)]),
     ("linear_3d", lambda x, w, b: ad.linear(x, w, b), 3, [(2, 3, 4), (4, 5), (5,)]),

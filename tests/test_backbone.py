@@ -95,10 +95,12 @@ def test_two_branch_gradients_accumulate():
     target = dec.blocks[0].attn.q.w
 
     def branch_a():
-        return ad.sum_reduce(ad.square(dec(tokens, pos)))
+        y = dec(tokens, pos)
+        return ad.sum_reduce(ad.mul(y, y))
 
     def branch_b():
-        return ad.mean_reduce(ad.square(dec(ad.scalar_mul(tokens, 0.5), pos)))
+        y = dec(ad.scalar_mul(tokens, 0.5), pos)
+        return ad.mean_reduce(ad.mul(y, y))
 
     target.grad = None
     backward(ad.add(branch_a(), branch_b()))

@@ -316,6 +316,31 @@ def test_cli_refuses_empty_test_set(trained, tmp_path, capsys, command, kind, fl
         assert not (out_dir / name).exists()
 
 
+@pytest.mark.parametrize("command, kind", [("eval", "finetune"),
+                                           ("inspect-codebook", "pretrain")])
+def test_cli_refuses_data_flags_without_data_dir(trained, capsys, command, kind):
+    # the test set is rebuilt from the checkpoint's config, which would drop the flag
+    ckpt = trained["ckpt"] if kind == "pretrain" else os.path.join(trained["ft_dir"],
+                                                                   "finetune.ckpt")
+    rc = main([command, "--checkpoint", ckpt, "--data.per_class_test", "0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        f"m3cs {command}: error: data.per_class_test needs --data.dir; without it "
+        "the test set is rebuilt from the checkpoint's config"]
+    assert captured.out == ""
+
+
+def test_cli_refuses_unknown_tau_schedule(tmp_path, capsys):
+    rc = main(["pretrain", "--out-dir", str(tmp_path / "p"), "--steps", "1",
+               "--batch-size", "2", "--pretrain.tau_schedule", "cosin", *TINY_FLAGS])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        "m3cs pretrain: error: unknown temperature schedule 'cosin'"]
+    assert captured.out == ""
+
+
 def test_cli_unknown_config_key(tmp_path, capsys):
     rc = main(["pretrain", "--out-dir", str(tmp_path / "p"), "--model.width", "8"])
     assert rc == 1
@@ -342,6 +367,26 @@ def test_cli_eval_truncated_checkpoint(trained, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"m3cs eval: error: {cut}: truncated at byte {len(raw) // 2}"]
+
+
+# byte offsets in a checkpoint of one (2, 3) tensor named "w"
+@pytest.mark.parametrize("field, offset, fmt, value", [
+    ("name_len", 12, "<I", 1), ("rank", 17, "<I", 2), ("dim", 21, "<Q", 2),
+    ("json_len", 61, "<Q", 11),
+])
+def test_cli_eval_corrupt_checkpoint(tmp_path, capsys, field, offset, fmt, value):
+    # a full-length file whose length field claims more bytes than the file holds
+    # is refused before anything is allocated for them
+    path = tmp_path / f"{field}.ckpt"
+    save_checkpoint(path, {"w": np.zeros((2, 3), np.float32)}, {"seed": 0})
+    raw = bytearray(path.read_bytes())
+    assert struct.unpack_from(fmt, raw, offset)[0] == value
+    raw[offset:offset + struct.calcsize(fmt)] = b"\xff" * struct.calcsize(fmt)
+    path.write_bytes(bytes(raw))
+    rc = main(["eval", "--checkpoint", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"m3cs eval: error: {path}: truncated at byte {len(raw)}"]
 
 
 def test_cli_eval_missing_tensor(trained, tmp_path, capsys):

@@ -113,6 +113,8 @@ def test_temperature_schedule():
     assert temperature(3, 100, schedule="constant") == 1.0
     with pytest.raises(ValueError):
         temperature(101, 100)
+    with pytest.raises(ValueError, match="^unknown temperature schedule 'cosin'$"):
+        temperature(0, 100, schedule="cosin")
 
 
 def test_perplexity_hand_cases():
@@ -151,7 +153,8 @@ def test_gradients_flow_to_entries_and_scorer():
         def loss():
             logits = ad.add(quant.to_logits(x), noise)
             z = ad.row_softmax(ad.scalar_mul(logits, 2.0))
-            return ad.sum_reduce(ad.square(ad.matmul(z, book.entries)))
+            mixed = ad.matmul(z, book.entries)
+            return ad.sum_reduce(ad.mul(mixed, mixed))
 
         gradcheck(loss, [x, book.entries, quant.to_logits.w], rtol=1e-4)
 

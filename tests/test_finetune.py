@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from m3cs.finetune import (
     few_shot,
     finetune_loop,
     hta,
-    load_pretrained,
     netvlad,
     sample_episode,
     trainable_params,
@@ -105,8 +105,12 @@ def test_netvlad_gradient():
         entries = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        gradcheck(lambda: ad.sum_reduce(ad.square(netvlad(x, entries, w, b))),
-                  [x, entries, w, b], rtol=1e-4)
+
+        def loss():
+            v = netvlad(x, entries, w, b)
+            return ad.sum_reduce(ad.mul(v, v))
+
+        gradcheck(loss, [x, entries, w, b], rtol=1e-4)
 
 
 # ----------------------------------------------------------------------- hta
@@ -207,7 +211,7 @@ def test_load_pretrained_copies_shared_modules():
         pre = PretrainModel(make_rng(16), cfg)
         ft = FinetuneModel(make_rng(17), cfg, n_classes=2)
         before = {k: t.data.copy() for k, t in ft.named_tensors().items()}
-        load_pretrained(ft, pre)
+        ft.load_params({k: p.data for k, p in pre.params().items()})
         src = pre.named_tensors()
         for key, t in ft.named_tensors().items():
             if key.split(".")[0] in ("tokenizer", "pos_embed", "encoder", "codebook"):
@@ -216,6 +220,15 @@ def test_load_pretrained_copies_shared_modules():
                 assert key not in src
                 np.testing.assert_array_equal(t.data, before[key], err_msg=key)
         assert not np.array_equal(before["codebook.entries"], ft.codebook.entries.data)
+
+
+@pytest.mark.parametrize("shape", [(16, 8), (32, 16)], ids=["same_size", "wrong_size"])
+def test_load_params_refuses_shape_mismatch(shape):
+    # TINY's codebook is (8, 16): a transposed copy must not load as a reshape
+    ft = FinetuneModel(make_rng(17), TINY, n_classes=2)
+    want = f"tensor 'codebook.entries' has shape {list(shape)}, the model's is [8, 16]"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        ft.load_params({"codebook.entries": np.zeros(shape)})
 
 
 def test_freeze_codebook_removes_entries():

@@ -8,7 +8,6 @@ from m3cs.data import gen_shapes
 from m3cs.geometry import fps, group, PointCloud
 from m3cs.optim import AdamW
 from m3cs.pretrain import (
-    MaskSpec,
     PretrainModel,
     align_loss,
     assemble_batch,
@@ -61,11 +60,6 @@ def test_mask_degenerate_ratios():
         mask_random(8, 1.0, make_rng(0))
 
 
-def test_mask_spec_validates_count():
-    with pytest.raises(ValueError):
-        MaskSpec(masked=np.array([True, False, False, False]), ratio=0.5, kind="random")
-
-
 def test_mask_random_frequency():
     # each patch should be masked with probability = ratio
     g, ratio, n = 16, 0.5, 2000
@@ -112,8 +106,11 @@ def test_mask_block_contains_seed_neighbors():
 
 def test_make_mask_dispatch():
     centers = make_rng(4).normal(size=(8, 3))
-    assert make_mask("random", 8, 0.5, make_rng(5)).kind == "random"
-    assert make_mask("block", 8, 0.5, make_rng(5), centers=centers).kind == "block"
+    np.testing.assert_array_equal(make_mask("random", 8, 0.5, make_rng(5)).masked,
+                                  mask_random(8, 0.5, make_rng(5)).masked)
+    np.testing.assert_array_equal(
+        make_mask("block", 8, 0.5, make_rng(5), centers=centers).masked,
+        mask_block(centers, 0.5, make_rng(5)).masked)
     with pytest.raises(ValueError):
         make_mask("checker", 8, 0.5, make_rng(5))
 

@@ -7,6 +7,10 @@ from m3cs.rng import make_rng
 from m3cs.tokenizer import MiniPointNet, PosEmbed
 
 
+def sum_sq(t):
+    return ad.sum_reduce(ad.mul(t, t))
+
+
 @pytest.fixture
 def net():
     return MiniPointNet(make_rng(0), c=24)
@@ -62,8 +66,8 @@ def test_pos_embed_shared_between_consumers():
         params = list(pe64.params().values())
 
         def loss():
-            enc_side = ad.sum_reduce(ad.square(pe64(c1)))
-            dec_side = ad.sum_reduce(ad.square(pe64(c2)))
+            enc_side = sum_sq(pe64(c1))
+            dec_side = sum_sq(pe64(c2))
             return ad.add(enc_side, dec_side)
 
         gradcheck(loss, params, rtol=1e-4)
@@ -72,10 +76,10 @@ def test_pos_embed_shared_between_consumers():
         backward(loss())
         combined = params[0].grad.copy()
         params[0].grad = None
-        backward(ad.sum_reduce(ad.square(pe64(c1))))
+        backward(sum_sq(pe64(c1)))
         g1 = params[0].grad.copy()
         params[0].grad = None
-        backward(ad.sum_reduce(ad.square(pe64(c2))))
+        backward(sum_sq(pe64(c2)))
         g2 = params[0].grad.copy()
         params[0].grad = None
         np.testing.assert_allclose(combined, g1 + g2, rtol=1e-10)
@@ -86,4 +90,4 @@ def test_tokenizer_gradient(net):
         net64 = MiniPointNet(make_rng(0), c=8)
         patch = Tensor(make_rng(9).normal(size=(6, 3)), requires_grad=True)
         picks = [patch, net64.point_mlp.layers[0].w, net64.out_mlp.layers[1].b]
-        gradcheck(lambda: ad.sum_reduce(ad.square(net64(patch))), picks, rtol=1e-4)
+        gradcheck(lambda: sum_sq(net64(patch)), picks, rtol=1e-4)
