@@ -6,43 +6,33 @@ them; `backward` walks the tape once in reverse and deposits gradients on the
 leaves. Training runs in float32, verification in float64 (see `precision`).
 """
 
-import threading
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
-_state = threading.local()
-
-
-def _st():
-    if not hasattr(_state, "dtype"):
-        _state.dtype = np.float32
-        _state.grad_enabled = True
-        _state.graph = []
-    return _state
+_state = SimpleNamespace(dtype=np.float32, grad_enabled=True, graph=[])
 
 
 @contextmanager
 def precision(dtype):
     """Temporarily switch the default dtype ('float32' or 'float64')."""
-    st = _st()
-    old = st.dtype
-    st.dtype = np.dtype(dtype).type
+    old = _state.dtype
+    _state.dtype = np.dtype(dtype).type
     try:
         yield
     finally:
-        st.dtype = old
+        _state.dtype = old
 
 
 @contextmanager
 def no_grad():
-    st = _st()
-    old = st.grad_enabled
-    st.grad_enabled = False
+    old = _state.grad_enabled
+    _state.grad_enabled = False
     try:
         yield
     finally:
-        st.grad_enabled = old
+        _state.grad_enabled = old
 
 
 class ShapeError(ValueError):
@@ -53,7 +43,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=_st().dtype)
+        self.data = np.asarray(data, dtype=_state.dtype)
         self.requires_grad = requires_grad
         self.grad = None
 
@@ -90,19 +80,18 @@ class _Node:
 
 
 def _record(out, inputs, vjp):
-    st = _st()
-    if st.grad_enabled and any(i.requires_grad for i in inputs):
+    if _state.grad_enabled and any(i.requires_grad for i in inputs):
         out.requires_grad = True
-        st.graph.append(_Node(out, inputs, vjp))
+        _state.graph.append(_Node(out, inputs, vjp))
     return out
 
 
 def graph_size():
-    return len(_st().graph)
+    return len(_state.graph)
 
 
 def clear_graph():
-    _st().graph.clear()
+    _state.graph.clear()
 
 
 def backward(loss):
@@ -110,34 +99,27 @@ def backward(loss):
 
     The tape is consumed: after this call the graph is empty.
     """
-    st = _st()
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {list(loss.shape)}")
-    if not st.graph:
+    if not _state.graph:
         raise RuntimeError("backward called with an empty graph")
-    pending = {id(loss): np.ones_like(loss.data)}
-    produced = {id(n.out) for n in st.graph}
-    leaves = {}
-    for node in reversed(st.graph):
-        g = pending.pop(id(node.out), None)
-        if g is None:
+    # id -> (tensor, gradient); a node's entry is complete when the walk reaches it
+    grads = {id(loss): (loss, np.ones_like(loss.data))}
+    for node in reversed(_state.graph):
+        entry = grads.pop(id(node.out), None)
+        if entry is None:
             continue
-        for inp, gi in zip(node.inputs, node.vjp(g)):
-            if gi is None:
+        for inp, gi in zip(node.inputs, node.vjp(entry[1])):
+            if gi is None or not inp.requires_grad:
                 continue
-            if id(inp) in produced:
-                if id(inp) in pending:
-                    pending[id(inp)] = pending[id(inp)] + gi
-                else:
-                    pending[id(inp)] = gi
-            elif inp.requires_grad:
-                if id(inp) in leaves:
-                    leaves[id(inp)] = (inp, leaves[id(inp)][1] + gi)
-                else:
-                    leaves[id(inp)] = (inp, gi)
-    for t, g in leaves.values():
+            if id(inp) in grads:
+                gi = grads[id(inp)][1] + gi
+            grads[id(inp)] = (inp, gi)
+    # what is left belongs to leaves, bar a loss that no tape node produced
+    grads.pop(id(loss), None)
+    for t, g in grads.values():
         t.grad = g if t.grad is None else t.grad + g
-    st.graph.clear()
+    _state.graph.clear()
 
 
 def _unbroadcast(g, shape):

@@ -9,10 +9,11 @@ import sys
 from . import autodiff as ad
 from .checkpoint import (collect_finetune_state, collect_pretrain_state,
                          load_checkpoint, save_checkpoint)
-from .config import DataConfig, dump_config, load_config, to_flat
+from .codebook import temperature
+from .config import DataConfig, RunConfig, dump_config, load_config, to_flat
 from .data import gen_shapes, load_dataset, save_dataset
 from .finetune import FinetuneModel, _cloud_batch, evaluate, few_shot, finetune_loop
-from .pretrain import PretrainModel, pretrain_loop
+from .pretrain import PretrainModel, make_mask, pretrain_loop
 from .rng import make_rng
 
 COMMANDS = ("gen-data", "pretrain", "finetune", "eval", "fewshot", "inspect-codebook")
@@ -104,6 +105,19 @@ def _saved_run_config(ck_cfg):
     return load_config(overrides={k: v for k, v in ck_cfg.items() if k != "n_classes"})
 
 
+def _refuse_contradiction(cfg, saved, sections, defaults_defer=False):
+    """Refuse a setting in `sections` that differs from the checkpoint's config `saved`.
+
+    With defaults_defer the command runs on the checkpoint's settings, so a value
+    left at its default defers to the checkpoint's and only another one is refused.
+    """
+    ck, default = to_flat(saved), to_flat(RunConfig())
+    for key, value in to_flat(cfg).items():
+        if (key.split(".")[0] in sections and value != ck[key]
+                and not (defaults_defer and value == default[key])):
+            raise ValueError(f"{key} is {value} here but {ck[key]} in {cfg.checkpoint}")
+
+
 def cmd_gen_data(cfg):
     out = cfg.data.dir or os.path.join(cfg.out_dir, "data")
     train, test = _generate(cfg)
@@ -114,6 +128,10 @@ def cmd_gen_data(cfg):
 
 
 def cmd_pretrain(cfg):
+    m, p = cfg.model, cfg.pretrain
+    # the checks step 0 makes, made before anything is written
+    temperature(0, p.steps, p.tau_schedule, p.tau_start, p.tau_end)
+    make_mask(p.mask_kind, m.g, p.mask_ratio, make_rng(0), centers=[(0.0, 0.0, 0.0)] * m.g)
     _prepare_out(cfg)
     train, _ = _datasets(cfg)
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
@@ -131,14 +149,15 @@ def cmd_pretrain(cfg):
 
 
 def cmd_finetune(cfg):
-    _prepare_out(cfg)
     train, test = _datasets(cfg)
     _refuse_empty(test)
     init_arrays = None
     if not cfg.finetune.from_scratch:
         if not cfg.checkpoint:
             raise FileNotFoundError("finetune needs --checkpoint, or pass --from-scratch")
-        init_arrays, _ = _load_arrays(cfg.checkpoint, "student.")
+        init_arrays, ck_cfg = _load_arrays(cfg.checkpoint, "student.")
+        _refuse_contradiction(cfg, _saved_run_config(ck_cfg), ("model",))
+    _prepare_out(cfg)
     metrics_path = os.path.join(cfg.out_dir, "finetune_metrics.csv")
     model, _, test_acc = finetune_loop(
         train, test, cfg.model, cfg.finetune, seed=cfg.seed,
@@ -169,6 +188,7 @@ def cmd_eval(cfg):
     if not cfg.checkpoint:
         raise FileNotFoundError("eval needs --checkpoint pointing at a finetune checkpoint")
     model, saved = _load_finetuned(cfg)
+    _refuse_contradiction(cfg, saved, ("seed", "model", "finetune"), defaults_defer=True)
     test = _saved_test_set(cfg, saved)
     acc = evaluate(model, test, saved.model, saved.finetune)
     print(f"test accuracy: {acc:.4f}")
@@ -176,11 +196,12 @@ def cmd_eval(cfg):
 
 
 def cmd_fewshot(cfg):
-    _prepare_out(cfg)
     _, test = _datasets(cfg)
     init_arrays = None
     if cfg.checkpoint:
-        init_arrays, _ = _load_arrays(cfg.checkpoint, "student.")
+        init_arrays, ck_cfg = _load_arrays(cfg.checkpoint, "student.")
+        _refuse_contradiction(cfg, _saved_run_config(ck_cfg), ("model",))
+    _prepare_out(cfg)
     fs = cfg.fewshot
     ep_cfg = dataclasses.replace(cfg.finetune, steps=fs.steps, lr=fs.lr,
                                  layers=fs.layers)
@@ -205,6 +226,7 @@ def cmd_inspect_codebook(cfg):
         raise FileNotFoundError("inspect-codebook needs --checkpoint (pretrain checkpoint)")
     arrays, ck_cfg = _load_arrays(cfg.checkpoint, "student.")
     saved = _saved_run_config(ck_cfg)
+    _refuse_contradiction(cfg, saved, ("seed", "model", "finetune"), defaults_defer=True)
     model = PretrainModel(make_rng(saved.seed, 0), saved.model)
     model.load_params(arrays)
     test = _saved_test_set(cfg, saved)

@@ -30,7 +30,6 @@ class Codebook(Module):
 class QuantizerOutput:
     z: ad.Tensor       # (..., T) assignment distribution, rows sum to 1
     mixed: ad.Tensor   # (..., D) = z @ entries
-    tau: float
 
 
 class Quantizer(Module):
@@ -59,7 +58,7 @@ class Quantizer(Module):
             logits = ad.add(logits, Tensor(noise))
         z = ad.row_softmax(ad.scalar_mul(logits, 1.0 / tau))
         mixed = ad.matmul(z, self.codebook.entries)
-        return QuantizerOutput(z=z, mixed=mixed, tau=tau)
+        return QuantizerOutput(z=z, mixed=mixed)
 
     def token_ids(self, x):
         """Argmax codebook assignment per row (eval diagnostic, no noise)."""

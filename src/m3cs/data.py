@@ -120,7 +120,7 @@ def gen_shapes(families, per_class, points_per_cloud, rng, split="train", rotate
             pts = _SAMPLERS[fam](points_per_cloud, rng)
             if rotate:
                 pts = pts @ _random_rotation(rng).T
-            items.append((PointCloud(points=pts, label=label), label))
+            items.append((PointCloud(points=pts), label))
     return Dataset(items=items, class_names=list(families), split=split)
 
 
@@ -132,7 +132,7 @@ def augment(cloud, rng, out_points=1024):
         idx = rng.choice(n, size=out_points, replace=False)
     else:
         idx = rng.choice(n, size=out_points, replace=True)
-    return PointCloud(points=pts[idx], label=cloud.label)
+    return PointCloud(points=pts[idx])
 
 
 def save_xyz(path, cloud):
@@ -184,10 +184,7 @@ def load_dataset(dirpath, split="train"):
         if reader.fieldnames != ["path", "label"]:
             raise ValueError(f"{manifest}: expected header path,label")
         for row in reader:
-            label = int(row["label"])
-            cloud = load_xyz(os.path.join(dirpath, row["path"]))
-            cloud.label = label
-            items.append((cloud, label))
+            items.append((load_xyz(os.path.join(dirpath, row["path"])), int(row["label"])))
     classes_file = os.path.join(dirpath, "classes.txt")
     if os.path.exists(classes_file):
         with open(classes_file) as fh:

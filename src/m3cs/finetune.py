@@ -1,6 +1,7 @@
 """Downstream adaptation: hybrid token aggregation over the codebook and heads."""
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,18 @@ class FinetuneModel(Backbone):
 # ------------------------------------------------------------------ training
 
 
+@contextmanager
+def metrics_stream(path, header):
+    """A row writer for a CSV at path, flushed per row; without a path rows are dropped."""
+    if not path:
+        yield lambda row: None
+        return
+    with open(path, "w", newline="", buffering=1) as fh:
+        writer = csv.DictWriter(fh, fieldnames=header)
+        writer.writeheader()
+        yield writer.writerow
+
+
 def _cloud_batch(clouds, mcfg, rng, train=True):
     """The one clouds-to-patches rule: dense (B,G,S,3) groups and (B,G,3) centers.
 
@@ -120,7 +133,7 @@ def _cloud_batch(clouds, mcfg, rng, train=True):
             if cloud.n != mcfg.n_points:
                 idx = make_rng(7, i).choice(cloud.n, size=mcfg.n_points,
                                             replace=cloud.n < mcfg.n_points)
-                cloud = PointCloud(points=cloud.points[idx], label=cloud.label)
+                cloud = PointCloud(points=cloud.points[idx])
             start = 0
         ps = group(cloud, mcfg.g, mcfg.s, start=start)
         all_groups.append(ps.groups)
@@ -178,22 +191,19 @@ def finetune_loop(train_ds, test_ds, mcfg, fcfg, seed=0, init_arrays=None,
                 warmup=fcfg.warmup)
     history = []
     all_idx = np.arange(len(train_ds.items))
-    for step in range(fcfg.steps):
-        rng = make_rng(seed, 11, step)
-        picks = rng.choice(all_idx, size=min(fcfg.batch_size, len(all_idx)),
-                           replace=len(all_idx) < fcfg.batch_size)
-        clouds = [train_ds.items[int(i)][0] for i in picks]
-        labels = [train_ds.items[int(i)][1] for i in picks]
-        loss, acc = finetune_step(model, opt, clouds, labels, mcfg, fcfg, rng)
-        history.append({"step": step, "loss": loss, "train_acc": acc})
-        if log_every and step % log_every == 0:
-            print(f"step {step}: loss={loss:.4f} train_acc={acc:.3f}")
+    with metrics_stream(metrics_path, ["step", "loss", "train_acc"]) as write:
+        for step in range(fcfg.steps):
+            rng = make_rng(seed, 11, step)
+            picks = rng.choice(all_idx, size=min(fcfg.batch_size, len(all_idx)),
+                               replace=len(all_idx) < fcfg.batch_size)
+            clouds = [train_ds.items[int(i)][0] for i in picks]
+            labels = [train_ds.items[int(i)][1] for i in picks]
+            loss, acc = finetune_step(model, opt, clouds, labels, mcfg, fcfg, rng)
+            history.append({"step": step, "loss": loss, "train_acc": acc})
+            write(history[-1])
+            if log_every and step % log_every == 0:
+                print(f"step {step}: loss={loss:.4f} train_acc={acc:.3f}")
     test_acc = evaluate(model, test_ds, mcfg, fcfg) if test_ds else None
-    if metrics_path:
-        with open(metrics_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["step", "loss", "train_acc"])
-            writer.writeheader()
-            writer.writerows(history)
     return model, history, test_acc
 
 
@@ -202,8 +212,6 @@ def finetune_loop(train_ds, test_ds, mcfg, fcfg, seed=0, init_arrays=None,
 
 @dataclass
 class FewShotEpisode:
-    way: int
-    shot: int
     support: Dataset
     query: Dataset
 
@@ -229,7 +237,6 @@ def sample_episode(dataset, way, shot, query, rng):
         for i in chosen[shot:]:
             qry_items.append((dataset.items[int(i)][0], new_label))
     return FewShotEpisode(
-        way=way, shot=shot,
         support=Dataset(items=sup_items, class_names=names, split="support"),
         query=Dataset(items=qry_items, class_names=names, split="query"))
 

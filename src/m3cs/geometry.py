@@ -10,7 +10,6 @@ from .autodiff import ShapeError, Tensor, _record, as_tensor, reshape
 @dataclass
 class PointCloud:
     points: np.ndarray  # (N, 3)
-    label: int | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)

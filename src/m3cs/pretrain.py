@@ -1,7 +1,6 @@
 """The pretext task: masking, student/teacher passes, both losses, EMA, train loop."""
 
 import copy
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +10,7 @@ from .autodiff import Tensor
 from .backbone import Backbone, EncoderStack, SiameseDecoder
 from .codebook import Codebook, Quantizer, perplexity, temperature
 from .config import ModelConfig, PretrainConfig
-from .finetune import _cloud_batch
+from .finetune import _cloud_batch, metrics_stream
 from .geometry import chamfer_batch
 from .layers import Linear, init_param
 from .optim import AdamW
@@ -235,23 +234,14 @@ def pretrain_loop(dataset, mcfg: ModelConfig, pcfg: PretrainConfig, seed=0,
     opt = AdamW(model.params(), lr=pcfg.lr, weight_decay=pcfg.weight_decay,
                 total_steps=pcfg.steps, warmup=pcfg.warmup)
     metrics = []
-    writer = fh = None
-    if metrics_path:
-        fh = open(metrics_path, "w", newline="")
-        writer = csv.DictWriter(fh, fieldnames=METRICS_HEADER)
-        writer.writeheader()
-    try:
+    with metrics_stream(metrics_path, METRICS_HEADER) as write:
         for step in range(pcfg.steps):
             batch = assemble_batch(dataset, pcfg.batch_size, mcfg, make_rng(seed, 1, step))
             rec = train_step(model, teacher, opt, batch, step, mcfg, pcfg, seed)
             metrics.append(rec)
-            if writer:
-                writer.writerow(rec)
+            write(rec)
             if log_every and step % log_every == 0:
                 print(f"step {step}: l_total={rec['l_total']:.4f} "
                       f"l_align={rec['l_align']:.4f} l_rec={rec['l_rec']:.4f} "
                       f"ppl={rec['perplexity']:.1f}")
-    finally:
-        if fh:
-            fh.close()
     return model, teacher, opt, metrics

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import m3cs.autodiff as ad
 from m3cs.autodiff import ShapeError, Tensor, backward, gradcheck, precision
@@ -141,6 +142,98 @@ def test_linear_gradcheck_any_leading_dims(lead, k, n, seed):
         assert gradcheck(loss, [x, w, b], rtol=1e-4) < 1e-4
 
 
+# finite-difference properties over random shapes: small sides keep gradcheck's
+# two forward passes per element cheap in float64
+SMALL = dict(min_side=1, max_side=3)
+
+
+def _check_fd(build, shapes, seed):
+    """gradcheck sum(build(*leaves) ** 2) for float64 leaves of the given shapes."""
+    with precision("float64"):
+        leaves = [Tensor(make_rng(seed, i).normal(size=s), requires_grad=True)
+                  for i, s in enumerate(shapes)]
+
+        def loss():
+            out = build(*leaves)
+            return ad.sum_reduce(ad.mul(out, out))
+
+        assert gradcheck(loss, leaves, rtol=1e-4) < 1e-4
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul], ids=["add", "sub", "mul"])
+@given(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, **SMALL),
+       st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_elementwise_gradcheck_broadcast(op, shapes, seed):
+    _check_fd(op, shapes.input_shapes, seed)
+
+
+@given(hnp.mutually_broadcastable_shapes(signature="(m,k),(k,n)->(m,n)", max_dims=2,
+                                         **SMALL),
+       st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_batched_matmul_gradcheck_broadcast(shapes, seed):
+    _check_fd(ad.matmul, shapes.input_shapes, seed)
+
+
+@pytest.mark.parametrize("op", [ad.max_reduce, ad.sum_reduce, ad.mean_reduce],
+                         ids=["max", "sum", "mean"])
+@given(st.data(), hnp.array_shapes(min_dims=1, max_dims=3, **SMALL), st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_reduce_gradcheck_random_axis(op, data, shape, seed):
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1), label="axis")
+    _check_fd(lambda a: op(a, axis=axis), [shape], seed)
+
+
+@given(st.data(), hnp.array_shapes(min_dims=1, max_dims=3, **SMALL), st.integers(1, 3),
+       st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_concat_gradcheck_random_axis(data, shape, parts, seed):
+    axis = data.draw(st.integers(0, len(shape) - 1), label="axis")
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=parts, max_size=parts),
+                      label="sizes")
+    shapes = [shape[:axis] + (n,) + shape[axis + 1:] for n in sizes]
+    _check_fd(lambda *ts: ad.concat(ts, axis=axis), shapes, seed)
+
+
+@given(st.data(), hnp.array_shapes(min_dims=2, max_dims=3, **SMALL), st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_swap_axes_and_reshape_gradcheck(data, shape, seed):
+    ax1, ax2 = data.draw(st.lists(st.integers(-len(shape), len(shape) - 1),
+                                  min_size=2, max_size=2), label="axes")
+    new_shape = data.draw(st.permutations(shape), label="new shape")
+    _check_fd(lambda a: ad.reshape(ad.swap_axes(a, ax1, ax2), new_shape), [shape], seed)
+
+
+@given(st.data(), hnp.array_shapes(min_dims=1, max_dims=3, **SMALL), st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_take_gradcheck_repeated_indices(data, shape, seed):
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1), label="axis")
+    n = shape[axis]
+    # more picks than rows forces at least one repeat, whose gradients must add
+    idx = data.draw(st.lists(st.integers(0, n - 1), min_size=n + 1, max_size=n + 3),
+                    label="idx")
+    _check_fd(lambda a: ad.take(a, idx, axis=axis), [shape], seed)
+
+
+@given(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, **SMALL),
+       st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_leaf_used_twice_gradcheck(shapes, seed):
+    # a reaches the loss along two paths that meet at mul, b along one
+    _check_fd(lambda a, b: ad.mul(ad.add(a, b), ad.scalar_mul(a, 0.5)),
+              shapes.input_shapes, seed)
+
+
+def test_loss_off_the_tape_gets_no_grad():
+    x = rand(3, seed=12)
+    ad.mul(x, x)  # the tape is not empty, but nothing on it produced the loss
+    loss = Tensor(1.0, requires_grad=True)
+    backward(loss)
+    assert loss.grad is None and x.grad is None
+    assert ad.graph_size() == 0
+
+
 def _matmul_add(x, w, b):
     return ad.add(ad.matmul(x, w), b)
 
@@ -191,7 +284,7 @@ def test_linear_shared_weight_bitwise_equals_matmul_add():
 def test_linear_vjp_skips_operands_without_grad():
     x, w, b = Tensor(np.ones((2, 3))), rand(3, 4), Tensor(np.zeros(4))
     out = ad.linear(x, w, b)
-    gx, gw, gb = ad._st().graph[-1].vjp(np.ones(out.shape, dtype=np.float32))
+    gx, gw, gb = ad._state.graph[-1].vjp(np.ones(out.shape, dtype=np.float32))
     ad.clear_graph()
     assert gx is None and gb is None
     np.testing.assert_array_equal(gw, np.full((3, 4), 2.0))

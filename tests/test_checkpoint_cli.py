@@ -331,14 +331,54 @@ def test_cli_refuses_data_flags_without_data_dir(trained, capsys, command, kind)
     assert captured.out == ""
 
 
-def test_cli_refuses_unknown_tau_schedule(tmp_path, capsys):
-    rc = main(["pretrain", "--out-dir", str(tmp_path / "p"), "--steps", "1",
-               "--batch-size", "2", "--pretrain.tau_schedule", "cosin", *TINY_FLAGS])
+@pytest.mark.parametrize("flag, value, message", [
+    ("tau_schedule", "cosin", "unknown temperature schedule 'cosin'"),
+    ("mask_kind", "blok", "unknown mask kind 'blok'"),
+    ("mask_ratio", "1.5", "mask ratio must be in (0,1), got 1.5"),
+], ids=["tau_schedule", "mask_kind", "mask_ratio"])
+def test_cli_pretrain_refuses_bad_setting_before_writing(tmp_path, capsys, flag, value,
+                                                         message):
+    out_dir = tmp_path / "p"
+    rc = main(["pretrain", "--out-dir", str(out_dir), "--steps", "1",
+               "--batch-size", "2", f"--pretrain.{flag}", value, *TINY_FLAGS])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [f"m3cs pretrain: error: {message}"]
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, kind, flag, value, key, ours, theirs", [
+    ("finetune", "pretrain", "--model.enc_depth", "3", "model.enc_depth", "3", "2"),
+    ("finetune", "pretrain", "--model.enc_depth", "1", "model.enc_depth", "1", "2"),
+    ("finetune", "pretrain", "--model.heads", "4", "model.heads", "4", "2"),
+    ("finetune", "pretrain", "--model.g", "6", "model.g", "6", "8"),
+    ("finetune", "pretrain", "--model.n_points", "32", "model.n_points", "32", "64"),
+    ("fewshot", "pretrain", "--model.heads", "4", "model.heads", "4", "2"),
+    ("eval", "finetune", "--seed", "7", "seed", "7", "0"),
+    ("eval", "finetune", "--finetune.layers", "0", "finetune.layers", "[0]", "[1, 3, 5]"),
+    ("eval", "finetune", "--model.heads", "1", "model.heads", "1", "2"),
+    ("inspect-codebook", "pretrain", "--seed", "7", "seed", "7", "0"),
+    ("inspect-codebook", "pretrain", "--model.t", "4", "model.t", "4", "8"),
+    ("inspect-codebook", "pretrain", "--finetune.steps", "9", "finetune.steps", "9", "300"),
+])
+def test_cli_refuses_flag_contradicting_checkpoint(trained, tmp_path, capsys, command, kind,
+                                                   flag, value, key, ours, theirs):
+    # finetune and fewshot build their model from the flags and must match the
+    # checkpoint; eval and inspect-codebook run on the checkpoint's settings, so
+    # only a flag left at its default is no contradiction
+    ckpt = trained["ckpt"] if kind == "pretrain" else os.path.join(trained["ft_dir"],
+                                                                   "finetune.ckpt")
+    model_flags = TINY_FLAGS if command in ("finetune", "fewshot") else []
+    out_dir = tmp_path / "o"
+    rc = main([command, "--out-dir", str(out_dir), "--checkpoint", ckpt, *model_flags,
+               flag, value])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err.strip().splitlines() == [
-        "m3cs pretrain: error: unknown temperature schedule 'cosin'"]
+        f"m3cs {command}: error: {key} is {ours} here but {theirs} in {ckpt}"]
     assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_cli_unknown_config_key(tmp_path, capsys):

@@ -162,11 +162,6 @@ def test_augment_scale_and_shift_bounds():
             assert -0.1 - 1e-9 <= t <= 0.1 + 1e-9
 
 
-def test_augment_keeps_label():
-    cloud = PointCloud(points=make_rng(17).normal(size=(40, 3)), label=3)
-    assert augment(cloud, make_rng(18), out_points=16).label == 3
-
-
 # ----------------------------------------------------------------------- I/O
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import m3cs.autodiff as ad
+import m3cs.finetune as finetune_mod
 from m3cs.autodiff import Tensor, gradcheck, precision
 from m3cs.config import FinetuneConfig, ModelConfig
 from m3cs.data import Dataset, gen_shapes
@@ -260,6 +262,35 @@ def test_finetune_learns_small_problem():
     assert np.mean([h["train_acc"] for h in hist[-10:]]) > 0.6
 
 
+def test_finetune_streams_metrics_per_step(tmp_path, monkeypatch):
+    train = four_class_dataset(2, 22)
+    fcfg = FinetuneConfig(steps=4, batch_size=2, warmup=1)
+    whole = tmp_path / "whole.csv"
+    _, hist, _ = finetune_loop(train, None, TINY, fcfg, seed=0, metrics_path=str(whole))
+    # the streamed file holds the bytes one write of the whole history would
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["step", "loss", "train_acc"])
+        writer.writeheader()
+        writer.writerows(hist)
+    assert whole.read_bytes() == expected.read_bytes()
+
+    real_step = finetune_mod.finetune_step
+    done = []
+
+    def crash_at_step_2(*args):
+        if len(done) == 2:
+            raise FloatingPointError("crash at step 2")
+        done.append(len(done))
+        return real_step(*args)
+
+    monkeypatch.setattr(finetune_mod, "finetune_step", crash_at_step_2)
+    cut = tmp_path / "cut.csv"
+    with pytest.raises(FloatingPointError, match="step 2"):
+        finetune_loop(train, None, TINY, fcfg, seed=0, metrics_path=str(cut))
+    assert cut.read_bytes().splitlines() == expected.read_bytes().splitlines()[:3]
+
+
 def test_evaluate_is_deterministic():
     test = four_class_dataset(2, 20, "test")
     model = FinetuneModel(make_rng(21), TINY, n_classes=4)
@@ -347,7 +378,7 @@ def test_few_shot_separable_problem():
         r = 1.0 if i % 2 == 0 else 3.0
         v = rng.normal(size=(64, 3))
         v = r * v / np.linalg.norm(v, axis=1, keepdims=True)
-        items.append((PointCloud(points=v, label=i % 2), i % 2))
+        items.append((PointCloud(points=v), i % 2))
     ds = Ds(items=items, class_names=["small", "big"], split="test")
     fcfg = FinetuneConfig(steps=40, batch_size=4, lr=1e-3, dropout=0.0, warmup=2)
     _, mean, _ = few_shot(ds, way=2, shot=2, runs=2, mcfg=TINY, fcfg=fcfg,
