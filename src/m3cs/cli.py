@@ -16,8 +16,6 @@ from .finetune import FinetuneModel, _cloud_batch, evaluate, few_shot, finetune_
 from .pretrain import PretrainModel, make_mask, pretrain_loop
 from .rng import make_rng
 
-COMMANDS = ("gen-data", "pretrain", "finetune", "eval", "fewshot", "inspect-codebook")
-
 # per-command shorthand flags mapping onto dotted config keys
 ALIASES = {
     "pretrain": {"steps": "pretrain.steps", "batch-size": "pretrain.batch_size"},
@@ -47,43 +45,33 @@ def _parse_overrides(command, extra):
     return overrides
 
 
-def _generate(cfg):
-    """The synthetic train and test sets of cfg's data settings and seed."""
+def _generate(cfg, split):
+    """The synthetic split of cfg's data settings and seed; each split has its own stream."""
     d = cfg.data
-    train = gen_shapes(d.families, d.per_class_train, d.points, make_rng(cfg.seed, 50), "train")
-    test = gen_shapes(d.families, d.per_class_test, d.points, make_rng(cfg.seed, 51), "test")
-    return train, test
+    return gen_shapes(d.families, getattr(d, f"per_class_{split}"), d.points,
+                      make_rng(cfg.seed, {"train": 50, "test": 51}[split]), split)
 
 
-def _datasets(cfg):
-    d = cfg.data
-    if d.dir:
-        return (load_dataset(os.path.join(d.dir, "train"), "train"),
-                load_dataset(os.path.join(d.dir, "test"), "test"))
-    return _generate(cfg)
+def _dataset(cfg, split, saved=None):
+    """The split in --data.dir, else the one generated from cfg, or from the
+    checkpoint's config `saved` when the command runs on it.
 
-
-def _refuse_empty(ds):
-    """Fail with one line, before any work, when a set the command needs has no clouds."""
-    if not ds.items:
-        raise ValueError(f"the {ds.split} set is empty")
-
-
-def _saved_test_set(cfg, saved):
-    """The test set of --data.dir, else the one regenerated from the checkpoint's config.
-
-    Without --data.dir any other --data.* setting would be dropped, so it is refused.
+    A --data.* setting that this would drop is refused, and so is an empty split.
     """
-    if not cfg.data.dir:
-        default = DataConfig()
-        for f in dataclasses.fields(default):
-            if getattr(cfg.data, f.name) != getattr(default, f.name):
-                raise ValueError(f"data.{f.name} needs --data.dir; without it the "
-                                 f"test set is rebuilt from the checkpoint's config")
-        cfg = saved
-    _, test = _datasets(cfg)
-    _refuse_empty(test)
-    return test
+    d = cfg.data
+    if d.dir or saved:
+        default = DataConfig(dir=d.dir)
+        for f in dataclasses.fields(d):
+            if getattr(d, f.name) != getattr(default, f.name):
+                raise ValueError(f"data.{f.name} " + (
+                    "is ignored when --data.dir is set" if d.dir else "needs --data.dir; "
+                    f"without it the {split} set is rebuilt from the checkpoint's config"))
+        if not d.dir:
+            cfg, d = saved, saved.data
+    ds = load_dataset(os.path.join(d.dir, split), split) if d.dir else _generate(cfg, split)
+    if not ds.items:
+        raise ValueError(f"the {split} set is empty")
+    return ds
 
 
 def _prepare_out(cfg):
@@ -91,36 +79,38 @@ def _prepare_out(cfg):
     dump_config(cfg, os.path.join(cfg.out_dir, "config.json"))
 
 
-def _load_arrays(ckpt_path, prefix):
-    """A checkpoint's tensors named prefix + key, keyed by key, and its config."""
-    tensors, ck_cfg = load_checkpoint(ckpt_path)
+def _read_checkpoint(cfg, prefix, sections, defaults_defer=False):
+    """cfg.checkpoint's tensors named prefix + key, keyed by key; its RunConfig; n_classes.
+
+    A setting in `sections` that differs from the checkpoint's is refused. With
+    defaults_defer the command runs on the checkpoint's settings, so a value left at
+    its default defers to the checkpoint's and only another one is refused.
+    """
+    tensors, ck_cfg = load_checkpoint(cfg.checkpoint)
     arrays = {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
     if not arrays:
-        raise ValueError(f"{ckpt_path}: no '{prefix}' tensors")
-    return arrays, ck_cfg
-
-
-def _saved_run_config(ck_cfg):
-    """The RunConfig a checkpoint was written with; n_classes is no config key."""
-    return load_config(overrides={k: v for k, v in ck_cfg.items() if k != "n_classes"})
-
-
-def _refuse_contradiction(cfg, saved, sections, defaults_defer=False):
-    """Refuse a setting in `sections` that differs from the checkpoint's config `saved`.
-
-    With defaults_defer the command runs on the checkpoint's settings, so a value
-    left at its default defers to the checkpoint's and only another one is refused.
-    """
+        raise ValueError(f"{cfg.checkpoint}: no '{prefix}' tensors")
+    n_classes = int(ck_cfg.pop("n_classes", 4))  # no config key
+    saved = load_config(overrides=ck_cfg)
     ck, default = to_flat(saved), to_flat(RunConfig())
     for key, value in to_flat(cfg).items():
         if (key.split(".")[0] in sections and value != ck[key]
                 and not (defaults_defer and value == default[key])):
             raise ValueError(f"{key} is {value} here but {ck[key]} in {cfg.checkpoint}")
+    return arrays, saved, n_classes
+
+
+def _refuse_layers(layers, depth):
+    """Refuse a layer id the encoder lacks, which resolve_layers would wrap round."""
+    for lid in layers:
+        if not -depth <= lid < depth:
+            raise ValueError(f"layer id {lid} is outside [-{depth}, {depth}) "
+                             f"for an encoder of depth {depth}")
 
 
 def cmd_gen_data(cfg):
     out = cfg.data.dir or os.path.join(cfg.out_dir, "data")
-    train, test = _generate(cfg)
+    train, test = _generate(cfg, "train"), _generate(cfg, "test")
     save_dataset(os.path.join(out, "train"), train)
     save_dataset(os.path.join(out, "test"), test)
     print(f"wrote {len(train.items)} train / {len(test.items)} test clouds to {out}")
@@ -129,11 +119,13 @@ def cmd_gen_data(cfg):
 
 def cmd_pretrain(cfg):
     m, p = cfg.model, cfg.pretrain
-    # the checks step 0 makes, made before anything is written
+    # step 0's checks, and a run with no steps, refused before anything is written
+    if p.steps < 1:
+        raise ValueError(f"pretrain.steps must be at least 1, got {p.steps}")
     temperature(0, p.steps, p.tau_schedule, p.tau_start, p.tau_end)
     make_mask(p.mask_kind, m.g, p.mask_ratio, make_rng(0), centers=[(0.0, 0.0, 0.0)] * m.g)
+    train = _dataset(cfg, "train")
     _prepare_out(cfg)
-    train, _ = _datasets(cfg)
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
     model, teacher, opt, metrics = pretrain_loop(
         train, cfg.model, cfg.pretrain, seed=cfg.seed,
@@ -149,21 +141,19 @@ def cmd_pretrain(cfg):
 
 
 def cmd_finetune(cfg):
-    train, test = _datasets(cfg)
-    _refuse_empty(test)
+    train, test = _dataset(cfg, "train"), _dataset(cfg, "test")
     init_arrays = None
     if not cfg.finetune.from_scratch:
         if not cfg.checkpoint:
             raise FileNotFoundError("finetune needs --checkpoint, or pass --from-scratch")
-        init_arrays, ck_cfg = _load_arrays(cfg.checkpoint, "student.")
-        _refuse_contradiction(cfg, _saved_run_config(ck_cfg), ("model",))
+        init_arrays = _read_checkpoint(cfg, "student.", ("model",))[0]
+    _refuse_layers(cfg.finetune.layers, cfg.model.enc_depth)
     _prepare_out(cfg)
     metrics_path = os.path.join(cfg.out_dir, "finetune_metrics.csv")
     model, _, test_acc = finetune_loop(
         train, test, cfg.model, cfg.finetune, seed=cfg.seed,
         init_arrays=init_arrays, metrics_path=metrics_path, log_every=50)
-    snapshot = to_flat(cfg)
-    snapshot["n_classes"] = len(train.class_names)
+    snapshot = {**to_flat(cfg), "n_classes": len(train.class_names)}
     out_ckpt = os.path.join(cfg.out_dir, "finetune.ckpt")
     save_checkpoint(out_ckpt, collect_finetune_state(model), snapshot)
     print(f"test accuracy: {test_acc:.4f}")
@@ -172,9 +162,8 @@ def cmd_finetune(cfg):
 
 
 def _load_finetuned(cfg):
-    arrays, ck_cfg = _load_arrays(cfg.checkpoint, "model.")
-    n_classes = int(ck_cfg.get("n_classes", 4))
-    saved = _saved_run_config(ck_cfg)
+    arrays, saved, n_classes = _read_checkpoint(cfg, "model.", ("seed", "model", "finetune"),
+                                                defaults_defer=True)
     model = FinetuneModel(make_rng(saved.seed, 10), saved.model, n_classes,
                           hidden=saved.finetune.hidden, dropout=saved.finetune.dropout)
     missing = [k for k in model.named_tensors() if k not in arrays]
@@ -188,23 +177,19 @@ def cmd_eval(cfg):
     if not cfg.checkpoint:
         raise FileNotFoundError("eval needs --checkpoint pointing at a finetune checkpoint")
     model, saved = _load_finetuned(cfg)
-    _refuse_contradiction(cfg, saved, ("seed", "model", "finetune"), defaults_defer=True)
-    test = _saved_test_set(cfg, saved)
+    test = _dataset(cfg, "test", saved)
     acc = evaluate(model, test, saved.model, saved.finetune)
     print(f"test accuracy: {acc:.4f}")
     return 0
 
 
 def cmd_fewshot(cfg):
-    _, test = _datasets(cfg)
-    init_arrays = None
-    if cfg.checkpoint:
-        init_arrays, ck_cfg = _load_arrays(cfg.checkpoint, "student.")
-        _refuse_contradiction(cfg, _saved_run_config(ck_cfg), ("model",))
-    _prepare_out(cfg)
     fs = cfg.fewshot
-    ep_cfg = dataclasses.replace(cfg.finetune, steps=fs.steps, lr=fs.lr,
-                                 layers=fs.layers)
+    test = _dataset(cfg, "test")
+    init_arrays = _read_checkpoint(cfg, "student.", ("model",))[0] if cfg.checkpoint else None
+    _refuse_layers(fs.layers, cfg.model.enc_depth)
+    _prepare_out(cfg)
+    ep_cfg = dataclasses.replace(cfg.finetune, steps=fs.steps, lr=fs.lr, layers=fs.layers)
     records, mean, std = few_shot(test, fs.way, fs.shot, fs.runs, cfg.model,
                                   ep_cfg, seed=cfg.seed, query=fs.query,
                                   init_arrays=init_arrays)
@@ -224,12 +209,11 @@ def cmd_fewshot(cfg):
 def cmd_inspect_codebook(cfg):
     if not cfg.checkpoint:
         raise FileNotFoundError("inspect-codebook needs --checkpoint (pretrain checkpoint)")
-    arrays, ck_cfg = _load_arrays(cfg.checkpoint, "student.")
-    saved = _saved_run_config(ck_cfg)
-    _refuse_contradiction(cfg, saved, ("seed", "model", "finetune"), defaults_defer=True)
+    arrays, saved, _ = _read_checkpoint(cfg, "student.", ("seed", "model", "finetune"),
+                                        defaults_defer=True)
     model = PretrainModel(make_rng(saved.seed, 0), saved.model)
     model.load_params(arrays)
-    test = _saved_test_set(cfg, saved)
+    test = _dataset(cfg, "test", saved)
     groups, centers = _cloud_batch([c for c, _ in test.items[:8]], saved.model, None,
                                    train=False)
     with ad.no_grad():
@@ -256,7 +240,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="m3cs",
         description="Multi-target masked point modeling at desk scale")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("--config", default=None, help="JSON config (flat dotted keys)")
     parser.add_argument("--preset", choices=["desk", "paper"], default="desk")
     parser.add_argument("--checkpoint", default=None)
@@ -268,9 +252,7 @@ def main(argv=None):
             overrides["checkpoint"] = args.checkpoint
         if args.out_dir:
             overrides["out_dir"] = args.out_dir
-        cfg = load_config(args.config,
-                          overrides=overrides,
-                          preset="paper" if args.preset == "paper" else None)
+        cfg = load_config(args.config, overrides=overrides, preset=args.preset)
         return HANDLERS[args.command](cfg)
     except (ValueError, KeyError, OSError, FloatingPointError) as exc:
         print(f"m3cs {args.command}: error: {exc}", file=sys.stderr)

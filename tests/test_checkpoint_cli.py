@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -22,11 +23,14 @@ from m3cs.config import (
 )
 from m3cs.rng import make_rng
 
-TINY_FLAGS = [
+# two encoder blocks, so the fine-tune head reads layer 1, the last one
+TINY_MODEL_FLAGS = [
     "--model.c", "16", "--model.heads", "2", "--model.enc_depth", "2",
     "--model.dec_depth", "2", "--model.g", "8", "--model.s", "4",
-    "--model.t", "8", "--model.n_points", "64",
-    "--data.per_class_train", "2", "--data.per_class_test", "2",
+    "--model.t", "8", "--model.n_points", "64", "--finetune.layers", "1",
+]
+TINY_FLAGS = [
+    *TINY_MODEL_FLAGS, "--data.per_class_train", "2", "--data.per_class_test", "2",
     "--data.points", "64",
 ]
 
@@ -250,7 +254,7 @@ def test_cli_inspect_codebook(trained, capsys):
 
 
 def test_cli_inspect_codebook_shows_eval_patches(tmp_path, capsys):
-    from m3cs.cli import _datasets, _saved_run_config
+    from m3cs.cli import _dataset, _read_checkpoint
     from m3cs.finetune import _cloud_batch
 
     # clouds of 100 points, patched from 64 as evaluation patches them
@@ -262,8 +266,8 @@ def test_cli_inspect_codebook_shows_eval_patches(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect-codebook", "--checkpoint", ckpt]) == 0
     rows = [line.split(",")[:3] for line in capsys.readouterr().out.strip().splitlines()[1:]]
-    saved = _saved_run_config(load_checkpoint(ckpt)[1])
-    _, test = _datasets(saved)
+    saved = _read_checkpoint(load_config(overrides={"checkpoint": ckpt}), "student.", ())[1]
+    test = _dataset(saved, "test")
     _, centers = _cloud_batch([c for c, _ in test.items[:8]], saved.model, None, train=False)
     assert rows == [[f"{v:.6f}" for v in center] for center in centers.reshape(-1, 3)]
 
@@ -300,13 +304,14 @@ def test_cli_refuses_empty_test_set(trained, tmp_path, capsys, command, kind, fl
     # fewshot's per-episode test set is its query set
     data_dir = str(tmp_path / "data")
     assert main(["gen-data", "--dir", data_dir, *TINY_FLAGS, "--data.per_class_test", "0"]) == 0
+    tiny = TINY_FLAGS
     if flags[-1] == "--data.dir":
-        flags = [*flags, data_dir]
+        flags, tiny = [*flags, data_dir], TINY_MODEL_FLAGS
     ckpt = trained["ckpt"] if kind == "pretrain" else os.path.join(trained["ft_dir"],
                                                                    "finetune.ckpt")
     out_dir = tmp_path / "o"
     capsys.readouterr()
-    rc = main([command, "--out-dir", str(out_dir), "--checkpoint", ckpt, *TINY_FLAGS, *flags])
+    rc = main([command, "--out-dir", str(out_dir), "--checkpoint", ckpt, *tiny, *flags])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err.strip().splitlines() == \
@@ -335,7 +340,8 @@ def test_cli_refuses_data_flags_without_data_dir(trained, capsys, command, kind)
     ("tau_schedule", "cosin", "unknown temperature schedule 'cosin'"),
     ("mask_kind", "blok", "unknown mask kind 'blok'"),
     ("mask_ratio", "1.5", "mask ratio must be in (0,1), got 1.5"),
-], ids=["tau_schedule", "mask_kind", "mask_ratio"])
+    ("steps", "0", "pretrain.steps must be at least 1, got 0"),
+], ids=["tau_schedule", "mask_kind", "mask_ratio", "steps"])
 def test_cli_pretrain_refuses_bad_setting_before_writing(tmp_path, capsys, flag, value,
                                                          message):
     out_dir = tmp_path / "p"
@@ -348,6 +354,65 @@ def test_cli_pretrain_refuses_bad_setting_before_writing(tmp_path, capsys, flag,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command, flag, lid", [
+    ("finetune", "--finetune.layers", "2"),
+    ("finetune", "--finetune.layers", "-3"),
+    ("fewshot", "--fewshot.layers", "2"),
+])
+def test_cli_refuses_layer_outside_encoder(trained, tmp_path, capsys, command, flag, lid):
+    out_dir = tmp_path / "o"
+    rc = main([command, "--out-dir", str(out_dir), "--checkpoint", trained["ckpt"],
+               *TINY_FLAGS, flag, f"1,{lid}"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        f"m3cs {command}: error: layer id {lid} is outside [-2, 2) "
+        "for an encoder of depth 2"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, kind, flags", [
+    ("pretrain", None, ["--steps", "1", "--batch-size", "2"]),
+    ("finetune", "pretrain", ["--steps", "1", "--batch-size", "2"]),
+    ("fewshot", "pretrain", ["--runs", "1", "--way", "2", "--shot", "1",
+                             "--fewshot.query", "1", "--fewshot.steps", "1"]),
+    ("eval", "finetune", []),
+    ("inspect-codebook", "pretrain", []),
+])
+def test_cli_refuses_data_flag_with_data_dir(trained, tmp_path, capsys, command, kind, flags):
+    data_dir = str(tmp_path / "data")
+    assert main(["gen-data", "--dir", data_dir, *TINY_FLAGS]) == 0
+    ckpt = {None: [], "pretrain": ["--checkpoint", trained["ckpt"]],
+            "finetune": ["--checkpoint", os.path.join(trained["ft_dir"], "finetune.ckpt")]}
+    out_dir = tmp_path / "o"
+    capsys.readouterr()
+    rc = main([command, "--out-dir", str(out_dir), *ckpt[kind], *flags, *TINY_MODEL_FLAGS,
+               "--data.dir", data_dir, "--data.per_class_test", "1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        f"m3cs {command}: error: data.per_class_test is ignored when --data.dir is set"]
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+def test_cli_eval_and_fewshot_read_only_the_test_split(trained, tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--dir", str(data_dir), *TINY_FLAGS]) == 0
+    ft_ckpt = os.path.join(trained["ft_dir"], "finetune.ckpt")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ft_ckpt, "--data.dir", str(data_dir)]) == 0
+    with_train = capsys.readouterr().out
+    shutil.rmtree(data_dir / "train")
+    assert main(["eval", "--checkpoint", ft_ckpt, "--data.dir", str(data_dir)]) == 0
+    assert capsys.readouterr().out == with_train
+    rc = main(["fewshot", "--out-dir", str(tmp_path / "fs"), "--checkpoint", trained["ckpt"],
+               "--runs", "1", "--way", "2", "--shot", "1", "--fewshot.query", "1",
+               "--fewshot.steps", "1", *TINY_MODEL_FLAGS, "--data.dir", str(data_dir)])
+    assert rc == 0
+    assert "2-way 1-shot over 1 runs" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command, kind, flag, value, key, ours, theirs", [
     ("finetune", "pretrain", "--model.enc_depth", "3", "model.enc_depth", "3", "2"),
     ("finetune", "pretrain", "--model.enc_depth", "1", "model.enc_depth", "1", "2"),
@@ -356,7 +421,7 @@ def test_cli_pretrain_refuses_bad_setting_before_writing(tmp_path, capsys, flag,
     ("finetune", "pretrain", "--model.n_points", "32", "model.n_points", "32", "64"),
     ("fewshot", "pretrain", "--model.heads", "4", "model.heads", "4", "2"),
     ("eval", "finetune", "--seed", "7", "seed", "7", "0"),
-    ("eval", "finetune", "--finetune.layers", "0", "finetune.layers", "[0]", "[1, 3, 5]"),
+    ("eval", "finetune", "--finetune.layers", "0", "finetune.layers", "[0]", "[1]"),
     ("eval", "finetune", "--model.heads", "1", "model.heads", "1", "2"),
     ("inspect-codebook", "pretrain", "--seed", "7", "seed", "7", "0"),
     ("inspect-codebook", "pretrain", "--model.t", "4", "model.t", "4", "8"),
@@ -441,14 +506,15 @@ def test_cli_eval_missing_tensor(trained, tmp_path, capsys):
 
 
 def test_frozen_codebook_checkpoint_reload_gives_identical_logits(trained, tmp_path):
-    from m3cs.cli import _datasets, _load_arrays, _load_finetuned
+    from m3cs.cli import _dataset, _load_finetuned, _read_checkpoint
     from m3cs.finetune import _cloud_batch, finetune_loop
 
     flags = {k[2:]: v for k, v in zip(TINY_FLAGS[::2], TINY_FLAGS[1::2])}
     cfg = load_config(overrides={**flags, "finetune.steps": 3, "finetune.batch_size": 2,
                                  "finetune.warmup": 1, "finetune.freeze_codebook": True})
-    train, test = _datasets(cfg)
-    arrays, _ = _load_arrays(trained["ckpt"], "student.")
+    train, test = _dataset(cfg, "train"), _dataset(cfg, "test")
+    cfg.checkpoint = trained["ckpt"]
+    arrays = _read_checkpoint(cfg, "student.", ())[0]
     model, _, _ = finetune_loop(train, None, cfg.model, cfg.finetune, seed=cfg.seed,
                                 init_arrays=arrays)
     path = tmp_path / "frozen.ckpt"
