@@ -10,9 +10,10 @@ from . import autodiff as ad
 from .checkpoint import (collect_finetune_state, collect_pretrain_state,
                          load_checkpoint, save_checkpoint)
 from .codebook import temperature
-from .config import DataConfig, RunConfig, dump_config, load_config, to_flat
+from .config import RunConfig, dump_config, given_settings, load_config, to_flat
 from .data import gen_shapes, load_dataset, save_dataset
-from .finetune import FinetuneModel, _cloud_batch, evaluate, few_shot, finetune_loop
+from .finetune import (FinetuneModel, _cloud_batch, evaluate, few_shot, finetune_loop,
+                       sample_episode)
 from .pretrain import PretrainModel, make_mask, pretrain_loop
 from .rng import make_rng
 
@@ -52,22 +53,9 @@ def _generate(cfg, split):
                       make_rng(cfg.seed, {"train": 50, "test": 51}[split]), split)
 
 
-def _dataset(cfg, split, saved=None):
-    """The split in --data.dir, else the one generated from cfg, or from the
-    checkpoint's config `saved` when the command runs on it.
-
-    A --data.* setting that this would drop is refused, and so is an empty split.
-    """
+def _dataset(cfg, split):
+    """The split in --data.dir, else the one generated from cfg; an empty split is refused."""
     d = cfg.data
-    if d.dir or saved:
-        default = DataConfig(dir=d.dir)
-        for f in dataclasses.fields(d):
-            if getattr(d, f.name) != getattr(default, f.name):
-                raise ValueError(f"data.{f.name} " + (
-                    "is ignored when --data.dir is set" if d.dir else "needs --data.dir; "
-                    f"without it the {split} set is rebuilt from the checkpoint's config"))
-        if not d.dir:
-            cfg, d = saved, saved.data
     ds = load_dataset(os.path.join(d.dir, split), split) if d.dir else _generate(cfg, split)
     if not ds.items:
         raise ValueError(f"the {split} set is empty")
@@ -79,12 +67,12 @@ def _prepare_out(cfg):
     dump_config(cfg, os.path.join(cfg.out_dir, "config.json"))
 
 
-def _read_checkpoint(cfg, prefix, sections, defaults_defer=False):
-    """cfg.checkpoint's tensors named prefix + key, keyed by key; its RunConfig; n_classes.
+def _read_checkpoint(cfg, given, prefix, sections):
+    """cfg.checkpoint's tensors named prefix + key, keyed by key; cfg with every setting
+    in `sections` taken from the checkpoint; n_classes.
 
-    A setting in `sections` that differs from the checkpoint's is refused. With
-    defaults_defer the command runs on the checkpoint's settings, so a value left at
-    its default defers to the checkpoint's and only another one is refused.
+    A setting in `sections` that was given (preset, --config or flag) with another
+    value than the checkpoint's is refused.
     """
     tensors, ck_cfg = load_checkpoint(cfg.checkpoint)
     arrays = {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
@@ -92,12 +80,25 @@ def _read_checkpoint(cfg, prefix, sections, defaults_defer=False):
         raise ValueError(f"{cfg.checkpoint}: no '{prefix}' tensors")
     n_classes = int(ck_cfg.pop("n_classes", 4))  # no config key
     saved = load_config(overrides=ck_cfg)
-    ck, default = to_flat(saved), to_flat(RunConfig())
+    ck = to_flat(saved)
     for key, value in to_flat(cfg).items():
-        if (key.split(".")[0] in sections and value != ck[key]
-                and not (defaults_defer and value == default[key])):
+        if key in given and key.split(".")[0] in sections and value != ck[key]:
             raise ValueError(f"{key} is {value} here but {ck[key]} in {cfg.checkpoint}")
-    return arrays, saved, n_classes
+    cfg = dataclasses.replace(cfg, **{s: getattr(saved, s) for s in sections})
+    return arrays, cfg, n_classes
+
+
+def _run_sections(cfg):
+    """What eval and inspect-codebook take from their checkpoint: its seed, model and
+    finetune settings, and its data unless --data.dir names other data."""
+    return ("seed", "model", "finetune") + (() if cfg.data.dir else ("data",))
+
+
+def _refuse_below_one(cfg, *keys):
+    flat = to_flat(cfg)
+    for key in keys:
+        if flat[key] < 1:
+            raise ValueError(f"{key} must be at least 1, got {flat[key]}")
 
 
 def _refuse_layers(layers, depth):
@@ -108,7 +109,7 @@ def _refuse_layers(layers, depth):
                              f"for an encoder of depth {depth}")
 
 
-def cmd_gen_data(cfg):
+def cmd_gen_data(cfg, given):
     out = cfg.data.dir or os.path.join(cfg.out_dir, "data")
     train, test = _generate(cfg, "train"), _generate(cfg, "test")
     save_dataset(os.path.join(out, "train"), train)
@@ -117,11 +118,10 @@ def cmd_gen_data(cfg):
     return 0
 
 
-def cmd_pretrain(cfg):
+def cmd_pretrain(cfg, given):
     m, p = cfg.model, cfg.pretrain
-    # step 0's checks, and a run with no steps, refused before anything is written
-    if p.steps < 1:
-        raise ValueError(f"pretrain.steps must be at least 1, got {p.steps}")
+    # step 0's checks, and a run with no steps or batch, refused before anything is written
+    _refuse_below_one(cfg, "pretrain.steps", "pretrain.batch_size")
     temperature(0, p.steps, p.tau_schedule, p.tau_start, p.tau_end)
     make_mask(p.mask_kind, m.g, p.mask_ratio, make_rng(0), centers=[(0.0, 0.0, 0.0)] * m.g)
     train = _dataset(cfg, "train")
@@ -140,13 +140,14 @@ def cmd_pretrain(cfg):
     return 0
 
 
-def cmd_finetune(cfg):
+def cmd_finetune(cfg, given):
+    _refuse_below_one(cfg, "finetune.batch_size")
+    if cfg.finetune.from_scratch == bool(cfg.checkpoint):
+        raise ValueError("finetune needs exactly one of --checkpoint and --from-scratch")
     train, test = _dataset(cfg, "train"), _dataset(cfg, "test")
     init_arrays = None
-    if not cfg.finetune.from_scratch:
-        if not cfg.checkpoint:
-            raise FileNotFoundError("finetune needs --checkpoint, or pass --from-scratch")
-        init_arrays = _read_checkpoint(cfg, "student.", ("model",))[0]
+    if cfg.checkpoint:
+        init_arrays, cfg, _ = _read_checkpoint(cfg, given, "student.", ("model",))
     _refuse_layers(cfg.finetune.layers, cfg.model.enc_depth)
     _prepare_out(cfg)
     metrics_path = os.path.join(cfg.out_dir, "finetune_metrics.csv")
@@ -161,33 +162,37 @@ def cmd_finetune(cfg):
     return 0
 
 
-def _load_finetuned(cfg):
-    arrays, saved, n_classes = _read_checkpoint(cfg, "model.", ("seed", "model", "finetune"),
-                                                defaults_defer=True)
-    model = FinetuneModel(make_rng(saved.seed, 10), saved.model, n_classes,
-                          hidden=saved.finetune.hidden, dropout=saved.finetune.dropout)
+def _load_finetuned(cfg, given):
+    """The model in fine-tune checkpoint cfg.checkpoint, and cfg with the settings it ran on."""
+    arrays, cfg, n_classes = _read_checkpoint(cfg, given, "model.", _run_sections(cfg))
+    model = FinetuneModel(make_rng(cfg.seed, 10), cfg.model, n_classes,
+                          hidden=cfg.finetune.hidden, dropout=cfg.finetune.dropout)
     missing = [k for k in model.named_tensors() if k not in arrays]
     if missing:
         raise ValueError(f"{cfg.checkpoint}: no tensor 'model.{missing[0]}'")
     model.load_params(arrays)
-    return model, saved
+    return model, cfg
 
 
-def cmd_eval(cfg):
+def cmd_eval(cfg, given):
     if not cfg.checkpoint:
         raise FileNotFoundError("eval needs --checkpoint pointing at a finetune checkpoint")
-    model, saved = _load_finetuned(cfg)
-    test = _dataset(cfg, "test", saved)
-    acc = evaluate(model, test, saved.model, saved.finetune)
+    model, cfg = _load_finetuned(cfg, given)
+    acc = evaluate(model, _dataset(cfg, "test"), cfg.model, cfg.finetune)
     print(f"test accuracy: {acc:.4f}")
     return 0
 
 
-def cmd_fewshot(cfg):
+def cmd_fewshot(cfg, given):
     fs = cfg.fewshot
+    _refuse_below_one(cfg, "fewshot.runs", "fewshot.way", "fewshot.shot", "finetune.batch_size")
     test = _dataset(cfg, "test")
-    init_arrays = _read_checkpoint(cfg, "student.", ("model",))[0] if cfg.checkpoint else None
+    init_arrays = None
+    if cfg.checkpoint:
+        init_arrays, cfg, _ = _read_checkpoint(cfg, given, "student.", ("model",))
     _refuse_layers(fs.layers, cfg.model.enc_depth)
+    # the first episode's way and query checks, before anything is written
+    sample_episode(test, fs.way, fs.shot, fs.query, make_rng(cfg.seed, 20))
     _prepare_out(cfg)
     ep_cfg = dataclasses.replace(cfg.finetune, steps=fs.steps, lr=fs.lr, layers=fs.layers)
     records, mean, std = few_shot(test, fs.way, fs.shot, fs.runs, cfg.model,
@@ -206,15 +211,14 @@ def cmd_fewshot(cfg):
     return 0
 
 
-def cmd_inspect_codebook(cfg):
+def cmd_inspect_codebook(cfg, given):
     if not cfg.checkpoint:
         raise FileNotFoundError("inspect-codebook needs --checkpoint (pretrain checkpoint)")
-    arrays, saved, _ = _read_checkpoint(cfg, "student.", ("seed", "model", "finetune"),
-                                        defaults_defer=True)
-    model = PretrainModel(make_rng(saved.seed, 0), saved.model)
+    arrays, cfg, _ = _read_checkpoint(cfg, given, "student.", _run_sections(cfg))
+    model = PretrainModel(make_rng(cfg.seed, 0), cfg.model)
     model.load_params(arrays)
-    test = _dataset(cfg, "test", saved)
-    groups, centers = _cloud_batch([c for c, _ in test.items[:8]], saved.model, None,
+    test = _dataset(cfg, "test")
+    groups, centers = _cloud_batch([c for c, _ in test.items[:8]], cfg.model, None,
                                    train=False)
     with ad.no_grad():
         tokens, pos = model.embed(groups, centers)
@@ -247,13 +251,19 @@ def main(argv=None):
     parser.add_argument("--out-dir", default=None)
     args, extra = parser.parse_known_args(argv)
     try:
-        overrides = _parse_overrides(args.command, extra)
-        if args.checkpoint:
-            overrides["checkpoint"] = args.checkpoint
-        if args.out_dir:
-            overrides["out_dir"] = args.out_dir
-        cfg = load_config(args.config, overrides=overrides, preset=args.preset)
-        return HANDLERS[args.command](cfg)
+        flags = _parse_overrides(args.command, extra)
+        for key in ("checkpoint", "out_dir"):
+            if getattr(args, key):
+                flags[key] = getattr(args, key)
+        given = given_settings(args.config, flags, args.preset)
+        cfg = load_config(overrides=given)
+        # a run's config.json holds every key, so a --config data.* key counts if not default
+        default = to_flat(RunConfig())
+        dropped = [k for k, v in to_flat(cfg).items() if k in given and k.startswith("data.")
+                   and k != "data.dir" and (k in flags or v != default[k])]
+        if cfg.data.dir and dropped and args.command != "gen-data":
+            raise ValueError(f"{dropped[0]} is ignored when --data.dir is set")
+        return HANDLERS[args.command](cfg, given)
     except (ValueError, KeyError, OSError, FloatingPointError) as exc:
         print(f"m3cs {args.command}: error: {exc}", file=sys.stderr)
         return 1

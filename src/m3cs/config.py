@@ -143,16 +143,18 @@ def apply_flat(cfg, flat):
     return cfg
 
 
-def load_config(path=None, overrides=None, preset=None):
-    cfg = RunConfig()
-    if preset == "paper":
-        apply_flat(cfg, PAPER_SHAPE)
+def given_settings(path=None, overrides=None, preset=None):
+    """Flat settings from the preset, then the JSON file at path, then overrides; later wins."""
+    given = dict(PAPER_SHAPE) if preset == "paper" else {}
     if path:
         with open(path) as fh:
-            apply_flat(cfg, json.load(fh))
-    if overrides:
-        apply_flat(cfg, overrides)
-    return cfg
+            given.update(json.load(fh))
+    given.update(overrides or {})
+    return given
+
+
+def load_config(path=None, overrides=None, preset=None):
+    return apply_flat(RunConfig(), given_settings(path, overrides, preset))
 
 
 def dump_config(cfg, path):

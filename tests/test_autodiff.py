@@ -225,6 +225,40 @@ def test_leaf_used_twice_gradcheck(shapes, seed):
               shapes.input_shapes, seed)
 
 
+@pytest.mark.parametrize("op", [ad.row_softmax, ad.log_softmax, ad.gelu],
+                         ids=["row_softmax", "log_softmax", "gelu"])
+@given(hnp.array_shapes(min_dims=1, max_dims=3, **SMALL), st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_last_axis_and_elementwise_gradcheck_random_shape(op, shape, seed):
+    _check_fd(op, [shape], seed)
+
+
+@given(hnp.array_shapes(min_dims=0, max_dims=2, **SMALL), st.integers(3, 5),
+       st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_layer_norm_gradcheck_random_shape(lead, n, seed):
+    # sum(layer_norm(x) ** 2) is constant, and a row of 2 normalizes to +-1 whatever its
+    # values: both leave only eps-sized gradients, below what float64 differences resolve.
+    # A fixed random weight on the output and rows of 3 or more keep them of order 1
+    w = make_rng(seed, 1).normal(size=(*lead, n))
+    _check_fd(lambda a: ad.mul(ad.layer_norm(a), Tensor(w)), [(*lead, n)], seed)
+
+
+@given(hnp.array_shapes(min_dims=1, max_dims=3, **SMALL), st.floats(0.25, 2.0),
+       st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_smooth_l1_gradcheck_random_shape(shape, beta, seed):
+    # |x - y| / beta lies in [0, 0.8) or [1.2, 2): the loss has a kink at 1, where a
+    # central difference straddling it would average the two slopes
+    rng = make_rng(seed)
+    ratio = rng.uniform(0.0, 0.8, shape) + 1.2 * (rng.random(shape) < 0.5)
+    diff = beta * ratio * rng.choice([-1.0, 1.0], shape)
+    x0 = rng.normal(size=shape)
+    with precision("float64"):
+        x, y = Tensor(x0, requires_grad=True), Tensor(x0 - diff, requires_grad=True)
+        assert gradcheck(lambda: ad.smooth_l1(x, y, beta=beta), [x, y], rtol=1e-4) < 1e-4
+
+
 def test_loss_off_the_tape_gets_no_grad():
     x = rand(3, seed=12)
     ad.mul(x, x)  # the tape is not empty, but nothing on it produced the loss

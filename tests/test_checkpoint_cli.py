@@ -266,7 +266,8 @@ def test_cli_inspect_codebook_shows_eval_patches(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect-codebook", "--checkpoint", ckpt]) == 0
     rows = [line.split(",")[:3] for line in capsys.readouterr().out.strip().splitlines()[1:]]
-    saved = _read_checkpoint(load_config(overrides={"checkpoint": ckpt}), "student.", ())[1]
+    saved = _read_checkpoint(load_config(overrides={"checkpoint": ckpt}), {}, "student.",
+                             ("seed", "model", "data"))[1]
     test = _dataset(saved, "test")
     _, centers = _cloud_batch([c for c, _ in test.items[:8]], saved.model, None, train=False)
     assert rows == [[f"{v:.6f}" for v in center] for center in centers.reshape(-1, 3)]
@@ -317,22 +318,20 @@ def test_cli_refuses_empty_test_set(trained, tmp_path, capsys, command, kind, fl
     assert captured.err.strip().splitlines() == \
         [f"m3cs {command}: error: the {split} set is empty"]
     assert captured.out == ""
-    for name in ("finetune_metrics.csv", "finetune.ckpt", "fewshot.csv"):
-        assert not (out_dir / name).exists()
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command, kind", [("eval", "finetune"),
                                            ("inspect-codebook", "pretrain")])
 def test_cli_refuses_data_flags_without_data_dir(trained, capsys, command, kind):
-    # the test set is rebuilt from the checkpoint's config, which would drop the flag
+    # the test set is rebuilt from the checkpoint's config, which the flag contradicts
     ckpt = trained["ckpt"] if kind == "pretrain" else os.path.join(trained["ft_dir"],
                                                                    "finetune.ckpt")
     rc = main([command, "--checkpoint", ckpt, "--data.per_class_test", "0"])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err.strip().splitlines() == [
-        f"m3cs {command}: error: data.per_class_test needs --data.dir; without it "
-        "the test set is rebuilt from the checkpoint's config"]
+        f"m3cs {command}: error: data.per_class_test is 0 here but 2 in {ckpt}"]
     assert captured.out == ""
 
 
@@ -341,7 +340,8 @@ def test_cli_refuses_data_flags_without_data_dir(trained, capsys, command, kind)
     ("mask_kind", "blok", "unknown mask kind 'blok'"),
     ("mask_ratio", "1.5", "mask ratio must be in (0,1), got 1.5"),
     ("steps", "0", "pretrain.steps must be at least 1, got 0"),
-], ids=["tau_schedule", "mask_kind", "mask_ratio", "steps"])
+    ("batch_size", "0", "pretrain.batch_size must be at least 1, got 0"),
+], ids=["tau_schedule", "mask_kind", "mask_ratio", "steps", "batch_size"])
 def test_cli_pretrain_refuses_bad_setting_before_writing(tmp_path, capsys, flag, value,
                                                          message):
     out_dir = tmp_path / "p"
@@ -396,6 +396,32 @@ def test_cli_refuses_data_flag_with_data_dir(trained, tmp_path, capsys, command,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--data.dir"]])
+def test_cli_reuses_run_config_beside_data_dir(tmp_path, capsys, extra):
+    # a run's config.json holds every data.* key; fed back with --config, those at their
+    # default are not refused beside --data.dir, and the rerun writes the same metrics
+    data_dir = str(tmp_path / "data")
+    assert main(["gen-data", "--dir", data_dir, *TINY_FLAGS]) == 0
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["pretrain", "--out-dir", str(first), "--steps", "1", "--batch-size", "2",
+                 *TINY_MODEL_FLAGS, "--data.dir", data_dir]) == 0
+    extra = [*extra, data_dir] if extra else []
+    assert main(["pretrain", "--config", str(first / "config.json"),
+                 "--out-dir", str(second), *extra]) == 0
+    assert ((second / "metrics.csv").read_bytes()
+            == (first / "metrics.csv").read_bytes())
+    # a config file's data.* key at another value would still be dropped, so it is refused
+    flat = json.loads((first / "config.json").read_text())
+    (tmp_path / "points.json").write_text(json.dumps({**flat, "data.points": 64}))
+    capsys.readouterr()
+    rc = main(["pretrain", "--config", str(tmp_path / "points.json"),
+               "--out-dir", str(tmp_path / "o"), *extra])
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "m3cs pretrain: error: data.points is ignored when --data.dir is set"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_eval_and_fewshot_read_only_the_test_split(trained, tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert main(["gen-data", "--dir", str(data_dir), *TINY_FLAGS]) == 0
@@ -426,12 +452,13 @@ def test_cli_eval_and_fewshot_read_only_the_test_split(trained, tmp_path, capsys
     ("inspect-codebook", "pretrain", "--seed", "7", "seed", "7", "0"),
     ("inspect-codebook", "pretrain", "--model.t", "4", "model.t", "4", "8"),
     ("inspect-codebook", "pretrain", "--finetune.steps", "9", "finetune.steps", "9", "300"),
+    ("eval", "finetune", "--model.heads", "4", "model.heads", "4", "2"),
+    ("inspect-codebook", "pretrain", "--model.c", "96", "model.c", "96", "16"),
 ])
 def test_cli_refuses_flag_contradicting_checkpoint(trained, tmp_path, capsys, command, kind,
                                                    flag, value, key, ours, theirs):
-    # finetune and fewshot build their model from the flags and must match the
-    # checkpoint; eval and inspect-codebook run on the checkpoint's settings, so
-    # only a flag left at its default is no contradiction
+    # a setting given with another value than the checkpoint's is refused, a default
+    # value included (heads 4, c 96)
     ckpt = trained["ckpt"] if kind == "pretrain" else os.path.join(trained["ft_dir"],
                                                                    "finetune.ckpt")
     model_flags = TINY_FLAGS if command in ("finetune", "fewshot") else []
@@ -442,6 +469,56 @@ def test_cli_refuses_flag_contradicting_checkpoint(trained, tmp_path, capsys, co
     captured = capsys.readouterr()
     assert captured.err.strip().splitlines() == [
         f"m3cs {command}: error: {key} is {ours} here but {theirs} in {ckpt}"]
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+FEWSHOT_FLAGS = ["--runs", "1", "--way", "2", "--shot", "1", "--fewshot.query", "1",
+                 "--fewshot.steps", "1", "--finetune.batch_size", "2"]
+
+
+@pytest.mark.parametrize("command, flags, written", [
+    ("finetune", ["--steps", "3", "--batch-size", "2", "--finetune.warmup", "1"],
+     ["config.json", "finetune.ckpt", "finetune_metrics.csv"]),
+    ("fewshot", FEWSHOT_FLAGS, ["config.json", "fewshot.csv"]),
+], ids=["finetune", "fewshot"])
+def test_cli_takes_model_from_pretrain_checkpoint(trained, tmp_path, capsys, command, flags,
+                                                  written):
+    # without --model.* flags the run is the one that repeats the checkpoint's
+    out_dir = tmp_path / "o"
+    runs = []
+    for model_flags in (TINY_MODEL_FLAGS, ["--finetune.layers", "1"]):
+        rc = main([command, "--out-dir", str(out_dir), "--checkpoint", trained["ckpt"],
+                   *flags, *model_flags, *TINY_FLAGS[len(TINY_MODEL_FLAGS):]])
+        assert rc == 0
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        runs.append((capsys.readouterr().out, files))
+        shutil.rmtree(out_dir)
+    assert list(runs[0][1]) == written
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("finetune", ["--batch-size", "0"], "finetune.batch_size must be at least 1, got 0"),
+    ("finetune", ["--from-scratch"],
+     "finetune needs exactly one of --checkpoint and --from-scratch"),
+    ("fewshot", ["--runs", "0"], "fewshot.runs must be at least 1, got 0"),
+    ("fewshot", ["--way", "0"], "fewshot.way must be at least 1, got 0"),
+    ("fewshot", ["--shot", "0"], "fewshot.shot must be at least 1, got 0"),
+    ("fewshot", ["--finetune.batch_size", "0"],
+     "finetune.batch_size must be at least 1, got 0"),
+    ("fewshot", ["--way", "9"], "few-shot needs 9 classes with >= 2 samples, have 4"),
+], ids=["finetune-batch_size", "finetune-from_scratch", "fewshot-runs", "fewshot-way0",
+        "fewshot-shot", "fewshot-batch_size", "fewshot-way9"])
+def test_cli_refuses_bad_run_setting_before_writing(trained, tmp_path, capsys, command, flags,
+                                                    message):
+    base = {"finetune": ["--steps", "1", "--batch-size", "2"], "fewshot": FEWSHOT_FLAGS}
+    out_dir = tmp_path / "o"
+    rc = main([command, "--out-dir", str(out_dir), "--checkpoint", trained["ckpt"],
+               *base[command], *TINY_FLAGS, *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [f"m3cs {command}: error: {message}"]
     assert captured.out == ""
     assert not out_dir.exists()
 
@@ -514,14 +591,14 @@ def test_frozen_codebook_checkpoint_reload_gives_identical_logits(trained, tmp_p
                                  "finetune.warmup": 1, "finetune.freeze_codebook": True})
     train, test = _dataset(cfg, "train"), _dataset(cfg, "test")
     cfg.checkpoint = trained["ckpt"]
-    arrays = _read_checkpoint(cfg, "student.", ())[0]
+    arrays = _read_checkpoint(cfg, {}, "student.", ())[0]
     model, _, _ = finetune_loop(train, None, cfg.model, cfg.finetune, seed=cfg.seed,
                                 init_arrays=arrays)
     path = tmp_path / "frozen.ckpt"
     save_checkpoint(path, collect_finetune_state(model),
                     {**to_flat(cfg), "n_classes": len(train.class_names)})
     cfg.checkpoint = str(path)
-    reloaded, saved = _load_finetuned(cfg)
+    reloaded, saved = _load_finetuned(cfg, {})
     groups, centers = _cloud_batch([c for c, _ in test.items], saved.model, None, train=False)
     want = model.forward(groups, centers, layers=saved.finetune.layers).data
     got = reloaded.forward(groups, centers, layers=saved.finetune.layers).data
@@ -535,8 +612,8 @@ def test_checkpoint_reload_gives_identical_logits(trained):
 
     cfg = load_config(overrides={"checkpoint": os.path.join(trained["ft_dir"],
                                                             "finetune.ckpt")})
-    model_a, saved = _load_finetuned(cfg)
-    model_b, _ = _load_finetuned(cfg)
+    model_a, saved = _load_finetuned(cfg, {})
+    model_b, _ = _load_finetuned(cfg, {})
     ds = gen_shapes(["sphere"], 2, 64, make_rng(42), "test")
     clouds = [c for c, _ in ds.items]
     groups, centers = _cloud_batch(clouds, saved.model, None, train=False)
