@@ -101,14 +101,6 @@ def _refuse_below_one(cfg, *keys):
             raise ValueError(f"{key} must be at least 1, got {flat[key]}")
 
 
-def _refuse_layers(layers, depth):
-    """Refuse a layer id the encoder lacks, which resolve_layers would wrap round."""
-    for lid in layers:
-        if not -depth <= lid < depth:
-            raise ValueError(f"layer id {lid} is outside [-{depth}, {depth}) "
-                             f"for an encoder of depth {depth}")
-
-
 def cmd_gen_data(cfg, given):
     out = cfg.data.dir or os.path.join(cfg.out_dir, "data")
     train, test = _generate(cfg, "train"), _generate(cfg, "test")
@@ -140,15 +132,27 @@ def cmd_pretrain(cfg, given):
     return 0
 
 
-def cmd_finetune(cfg, given):
-    _refuse_below_one(cfg, "finetune.batch_size")
+def _initial_weights(command, cfg, given, layers):
+    """The pretrain checkpoint's student arrays and cfg with its model settings, or
+    (None, cfg) under --from-scratch. Exactly one of the two flags must be given, and each
+    id in `layers` must name an encoder layer."""
     if cfg.finetune.from_scratch == bool(cfg.checkpoint):
-        raise ValueError("finetune needs exactly one of --checkpoint and --from-scratch")
-    train, test = _dataset(cfg, "train"), _dataset(cfg, "test")
+        raise ValueError(f"{command} needs exactly one of --checkpoint and --from-scratch")
     init_arrays = None
     if cfg.checkpoint:
         init_arrays, cfg, _ = _read_checkpoint(cfg, given, "student.", ("model",))
-    _refuse_layers(cfg.finetune.layers, cfg.model.enc_depth)
+    depth = cfg.model.enc_depth
+    for lid in layers:  # refused, where resolve_layers would wrap it round
+        if not -depth <= lid < depth:
+            raise ValueError(f"layer id {lid} is outside [-{depth}, {depth}) "
+                             f"for an encoder of depth {depth}")
+    return init_arrays, cfg
+
+
+def cmd_finetune(cfg, given):
+    _refuse_below_one(cfg, "finetune.steps", "finetune.batch_size")
+    init_arrays, cfg = _initial_weights("finetune", cfg, given, cfg.finetune.layers)
+    train, test = _dataset(cfg, "train"), _dataset(cfg, "test")
     _prepare_out(cfg)
     metrics_path = os.path.join(cfg.out_dir, "finetune_metrics.csv")
     model, _, test_acc = finetune_loop(
@@ -185,12 +189,10 @@ def cmd_eval(cfg, given):
 
 def cmd_fewshot(cfg, given):
     fs = cfg.fewshot
-    _refuse_below_one(cfg, "fewshot.runs", "fewshot.way", "fewshot.shot", "finetune.batch_size")
+    _refuse_below_one(cfg, "fewshot.runs", "fewshot.way", "fewshot.shot", "fewshot.steps",
+                      "finetune.batch_size")
+    init_arrays, cfg = _initial_weights("fewshot", cfg, given, fs.layers)
     test = _dataset(cfg, "test")
-    init_arrays = None
-    if cfg.checkpoint:
-        init_arrays, cfg, _ = _read_checkpoint(cfg, given, "student.", ("model",))
-    _refuse_layers(fs.layers, cfg.model.enc_depth)
     # the first episode's way and query checks, before anything is written
     sample_episode(test, fs.way, fs.shot, fs.query, make_rng(cfg.seed, 20))
     _prepare_out(cfg)

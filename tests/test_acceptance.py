@@ -11,21 +11,19 @@ import numpy as np
 import pytest
 
 import m3cs.autodiff as ad
-from m3cs.autodiff import Tensor, backward, clear_graph, gradcheck, precision
+from m3cs.autodiff import Tensor, gradcheck, precision
 from m3cs.backbone import SiameseDecoder
 from m3cs.checkpoint import load_checkpoint, save_checkpoint
-from m3cs.codebook import Codebook, Quantizer
 from m3cs.config import FewshotConfig, FinetuneConfig, ModelConfig, PretrainConfig
 from m3cs.data import gen_shapes
 from m3cs.finetune import (
     FinetuneModel,
     _cloud_batch,
     cross_entropy,
-    evaluate,
     few_shot,
     finetune_loop,
-    hta,
     netvlad,
+    sample_episode,
 )
 from m3cs.geometry import chamfer
 from m3cs.pretrain import (
@@ -239,19 +237,42 @@ def test_criterion_4_masking_contract():
     report(4, f"counts exact; contiguity block {block_stat:.1f} > random {random_stat:.1f}")
 
 
-# ------------------------------------------------------- criteria 5-7 fixture
+# ----------------------------------------------------- criteria 5-7 protocol
+# tools/transfer.py imports these to rerun the protocol at other pretrain seeds
+
+MEDIAN_FLOOR = 0.90      # criterion 6: median pretrained test accuracy
+MARGIN_FLOOR = 0.02      # criterion 6: that median minus the from-scratch one
+PERPLEXITY_FLOOR = 2.0   # criterion 5: end codebook perplexity
+
+
+def transfer_sets():
+    """The pretrain train set, the fine-tune support set and the test set."""
+    return (gen_shapes(FAMILIES, 128, 1024, make_rng(0, 50), "train"),
+            gen_shapes(FAMILIES, 16, 1024, make_rng(0, 52), "train"),
+            gen_shapes(FAMILIES, 32, 1024, make_rng(0, 51), "test"))
+
+
+def desk_pretrain(train, seed):
+    """The 500-step desk pretrain at `seed`: its params() arrays and its metrics."""
+    model, _, _, metrics = pretrain_loop(train, DESK, PretrainConfig(steps=500, batch_size=16),
+                                         seed=seed)
+    return {k: p.data for k, p in model.params().items()}, metrics
+
+
+def transfer_accuracies(sup, test, init_arrays=None):
+    """Test accuracies of 300-step fine-tunes at seeds 0-4, from init_arrays or scratch."""
+    return [finetune_loop(sup, test, DESK, FinetuneConfig(steps=300), seed=seed,
+                          init_arrays=init_arrays)[2] for seed in range(5)]
 
 
 @pytest.fixture(scope="module")
 def pretrained():
     """Desk-config pretraining shared by the convergence and transfer checks."""
-    train = gen_shapes(FAMILIES, 128, 1024, make_rng(0, 50), "train")
-    pcfg = PretrainConfig(steps=500, batch_size=16)
+    train, sup, test = transfer_sets()
     t0 = time.time()
-    model, _, _, metrics = pretrain_loop(train, DESK, pcfg, seed=0)
-    elapsed = time.time() - t0
-    arrays = {k: p.data for k, p in model.params().items()}
-    return {"metrics": metrics, "arrays": arrays, "elapsed": elapsed}
+    arrays, metrics = desk_pretrain(train, seed=0)
+    return {"metrics": metrics, "arrays": arrays, "elapsed": time.time() - t0,
+            "sup": sup, "test": test}
 
 
 # --------------------------------------------------------------- criterion 5
@@ -265,7 +286,7 @@ def test_criterion_5_pretraining_convergence(pretrained):
     drop = 1.0 - end / start
     assert drop >= 0.60, f"L_total dropped only {drop:.1%}"
     end_ppl = pretrained["metrics"][-1]["perplexity"]
-    assert end_ppl >= 2.0, f"codebook collapsed: perplexity {end_ppl:.2f}"
+    assert end_ppl >= PERPLEXITY_FLOOR, f"codebook collapsed: perplexity {end_ppl:.2f}"
     assert pretrained["elapsed"] < 15 * 60
     report(5, f"MA-25 drop {drop:.1%}, end perplexity {end_ppl:.1f}, "
               f"{pretrained['elapsed']:.0f}s")
@@ -275,21 +296,14 @@ def test_criterion_5_pretraining_convergence(pretrained):
 
 
 def test_criterion_6_transfer_benefit(pretrained):
-    sup = gen_shapes(FAMILIES, 16, 1024, make_rng(0, 52), "train")
-    test = gen_shapes(FAMILIES, 32, 1024, make_rng(0, 51), "test")
-    fcfg = FinetuneConfig(steps=300)
-    pre_accs, scr_accs = [], []
-    for seed in range(5):
-        _, _, acc_pre = finetune_loop(sup, test, DESK, fcfg, seed=seed,
-                                      init_arrays=pretrained["arrays"])
-        _, _, acc_scr = finetune_loop(sup, test, DESK, fcfg, seed=seed)
-        pre_accs.append(acc_pre)
-        scr_accs.append(acc_scr)
+    sup, test = pretrained["sup"], pretrained["test"]
+    pre_accs = transfer_accuracies(sup, test, pretrained["arrays"])
+    scr_accs = transfer_accuracies(sup, test)
     med_pre = float(np.median(pre_accs))
     med_scr = float(np.median(scr_accs))
-    assert med_pre >= 0.90, f"pretrained median accuracy {med_pre:.3f} < 0.90"
-    assert med_pre - med_scr >= 0.02, (
-        f"margin {med_pre - med_scr:.3f} < 0.02 (pre {pre_accs}, scratch {scr_accs})")
+    assert med_pre >= MEDIAN_FLOOR, f"pretrained median accuracy {med_pre:.3f} < {MEDIAN_FLOOR:.2f}"
+    assert med_pre - med_scr >= MARGIN_FLOOR, (
+        f"margin {med_pre - med_scr:.3f} < {MARGIN_FLOOR} (pre {pre_accs}, scratch {scr_accs})")
     report(6, f"median pretrained {med_pre:.3f} vs scratch {med_scr:.3f} over 5 seeds")
 
 
@@ -297,7 +311,7 @@ def test_criterion_6_transfer_benefit(pretrained):
 
 
 def test_criterion_7_few_shot_protocol(pretrained):
-    test = gen_shapes(FAMILIES, 32, 1024, make_rng(0, 51), "test")
+    test = pretrained["test"]
     fs = FewshotConfig()
     fcfg = FinetuneConfig(steps=fs.steps, lr=fs.lr, layers=fs.layers)
     way, shot, runs = 2, 5, 10
@@ -307,7 +321,6 @@ def test_criterion_7_few_shot_protocol(pretrained):
                                           seed=0)
     # identical seeds -> the same episodes, so the comparison is paired
     assert [r["seed"] for r in rec_pre] == [r["seed"] for r in rec_scr]
-    from m3cs.finetune import sample_episode
     ep = sample_episode(test, way, shot, 20, make_rng(0, 20))
     assert len(ep.support.items) == way * shot
     assert len(ep.query.items) == way * 20
@@ -329,7 +342,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     _, _, _, m2 = pretrain_loop(ds, tiny, pcfg, seed=9)
     assert m1 == m2, "metric streams differ for identical seeds"
 
-    fcfg = FinetuneConfig(steps=3, batch_size=2, warmup=1)
+    fcfg = FinetuneConfig(steps=3, batch_size=2, warmup=1, layers=(1,))
     model, h1, _ = finetune_loop(ds, None, tiny, fcfg, seed=9)
     _, h2, _ = finetune_loop(ds, None, tiny, fcfg, seed=9)
     assert h1 == h2

@@ -100,7 +100,9 @@ PRIMITIVES = [
     ("take_axis1", lambda a: ad.take(a, [1, 1, 0], axis=-2), 1, [(2, 3, 4)]),
     ("row_softmax", lambda a: ad.row_softmax(a), 1, [(3, 5)]),
     ("log_softmax", lambda a: ad.log_softmax(a), 1, [(3, 5)]),
-    ("layer_norm", lambda a: ad.layer_norm(a), 1, [(3, 8)]),
+    # sum(layer_norm(x) ** 2) is constant, so a fixed random weight makes the loss vary
+    ("layer_norm", lambda a: ad.mul(ad.layer_norm(a), Tensor(make_rng(8).normal(size=(3, 8)))),
+     1, [(3, 8)]),
     ("gelu", lambda a: ad.gelu(a), 1, [(3, 4)]),
     ("max_reduce", lambda a: ad.max_reduce(a, axis=-2), 1, [(3, 5, 4)]),
     ("mean_reduce", lambda a: ad.mean_reduce(a, axis=1), 1, [(3, 5)]),

@@ -33,6 +33,10 @@ TINY_FLAGS = [
     *TINY_MODEL_FLAGS, "--data.per_class_train", "2", "--data.per_class_test", "2",
     "--data.points", "64",
 ]
+# a short run of each command that fine-tunes
+FEWSHOT_FLAGS = ["--runs", "1", "--way", "2", "--shot", "1", "--fewshot.query", "1",
+                 "--fewshot.steps", "1", "--finetune.batch_size", "2"]
+RUN_FLAGS = {"finetune": ["--steps", "1", "--batch-size", "2"], "fewshot": FEWSHOT_FLAGS}
 
 
 # ------------------------------------------------------------------- config
@@ -195,17 +199,23 @@ def test_cli_finetune_outputs(trained):
     assert any(k.startswith("model.head.") for k in tensors)
 
 
-def test_cli_finetune_needs_checkpoint(tmp_path, capsys):
-    rc = main(["finetune", "--out-dir", str(tmp_path / "x"), "--steps", "1",
-               *TINY_FLAGS])
+@pytest.mark.parametrize("command", ["finetune", "fewshot"])
+@pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+def test_cli_needs_one_of_checkpoint_and_from_scratch(trained, tmp_path, capsys, command, both):
+    start = ["--checkpoint", trained["ckpt"], "--from-scratch"] if both else []
+    out_dir = tmp_path / "o"
+    rc = main([command, "--out-dir", str(out_dir), *start, *RUN_FLAGS[command], *TINY_FLAGS])
     assert rc == 1
-    assert "error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        f"m3cs {command}: error: {command} needs exactly one of --checkpoint and --from-scratch"]
+    assert not out_dir.exists()
 
 
-def test_cli_finetune_from_scratch(tmp_path):
-    rc = main(["finetune", "--out-dir", str(tmp_path / "scr"), "--steps", "2",
-               "--batch-size", "2", "--from-scratch", "--finetune.warmup", "1",
-               *TINY_FLAGS])
+@pytest.mark.parametrize("command", ["finetune", "fewshot"])
+def test_cli_from_scratch(tmp_path, command):
+    rc = main([command, "--out-dir", str(tmp_path / "scr"), "--from-scratch",
+               *RUN_FLAGS[command], *TINY_FLAGS])
     assert rc == 0
 
 
@@ -473,10 +483,6 @@ def test_cli_refuses_flag_contradicting_checkpoint(trained, tmp_path, capsys, co
     assert not out_dir.exists()
 
 
-FEWSHOT_FLAGS = ["--runs", "1", "--way", "2", "--shot", "1", "--fewshot.query", "1",
-                 "--fewshot.steps", "1", "--finetune.batch_size", "2"]
-
-
 @pytest.mark.parametrize("command, flags, written", [
     ("finetune", ["--steps", "3", "--batch-size", "2", "--finetune.warmup", "1"],
      ["config.json", "finetune.ckpt", "finetune_metrics.csv"]),
@@ -500,22 +506,21 @@ def test_cli_takes_model_from_pretrain_checkpoint(trained, tmp_path, capsys, com
 
 @pytest.mark.parametrize("command, flags, message", [
     ("finetune", ["--batch-size", "0"], "finetune.batch_size must be at least 1, got 0"),
-    ("finetune", ["--from-scratch"],
-     "finetune needs exactly one of --checkpoint and --from-scratch"),
+    ("finetune", ["--steps", "0"], "finetune.steps must be at least 1, got 0"),
     ("fewshot", ["--runs", "0"], "fewshot.runs must be at least 1, got 0"),
     ("fewshot", ["--way", "0"], "fewshot.way must be at least 1, got 0"),
     ("fewshot", ["--shot", "0"], "fewshot.shot must be at least 1, got 0"),
+    ("fewshot", ["--fewshot.steps", "0"], "fewshot.steps must be at least 1, got 0"),
     ("fewshot", ["--finetune.batch_size", "0"],
      "finetune.batch_size must be at least 1, got 0"),
     ("fewshot", ["--way", "9"], "few-shot needs 9 classes with >= 2 samples, have 4"),
-], ids=["finetune-batch_size", "finetune-from_scratch", "fewshot-runs", "fewshot-way0",
-        "fewshot-shot", "fewshot-batch_size", "fewshot-way9"])
+], ids=["finetune-batch_size", "finetune-steps", "fewshot-runs", "fewshot-way0",
+        "fewshot-shot", "fewshot-steps", "fewshot-batch_size", "fewshot-way9"])
 def test_cli_refuses_bad_run_setting_before_writing(trained, tmp_path, capsys, command, flags,
                                                     message):
-    base = {"finetune": ["--steps", "1", "--batch-size", "2"], "fewshot": FEWSHOT_FLAGS}
     out_dir = tmp_path / "o"
     rc = main([command, "--out-dir", str(out_dir), "--checkpoint", trained["ckpt"],
-               *base[command], *TINY_FLAGS, *flags])
+               *RUN_FLAGS[command], *TINY_FLAGS, *flags])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err.strip().splitlines() == [f"m3cs {command}: error: {message}"]

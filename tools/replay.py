@@ -1,20 +1,33 @@
-"""Run the tiny CLI pipeline and print one sha256 per artifact.
+"""Run the tiny CLI pipeline and the library's training paths; print one sha256 per artifact.
 
     python tools/replay.py runs/replay
 
 Run it from a checkout's root with a relative out dir, so that printed and saved paths
-match across checkouts. Artifacts: each command's stdout, and each CSV, config.json and
-checkpoint under the out dir.
+match across checkouts. CLI artifacts: each command's stdout, and each CSV, config.json and
+checkpoint under the out dir. Library artifacts, which touch no file: tiny pretrain_loop
+metrics with student and teacher weights for each decoder sharing and mask kind, and a
+finetune_loop and few_shot records from each of those students; desk FinetuneModel
+logits and the leaf gradients of one desk fine-tune backward.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
 import sys
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+from m3cs import autodiff as ad  # noqa: E402
 from m3cs.cli import main  # noqa: E402
+from m3cs.config import FinetuneConfig, ModelConfig, PretrainConfig  # noqa: E402
+from m3cs.data import gen_shapes  # noqa: E402
+from m3cs.finetune import (FinetuneModel, _cloud_batch, cross_entropy, few_shot,  # noqa: E402
+                           finetune_loop)
+from m3cs.pretrain import pretrain_loop  # noqa: E402
+from m3cs.rng import make_rng  # noqa: E402
 
 MODEL = ["--model.c", "16", "--model.heads", "2", "--model.enc_depth", "2",
          "--model.dec_depth", "2", "--model.g", "8", "--model.s", "4", "--model.t", "8",
@@ -55,5 +68,57 @@ def replay(out):
                 print(hashlib.sha256(fh.read()).hexdigest(), os.path.join(root, name))
 
 
+def digest(name, *parts):
+    """Print the sha256 of parts: {name: array} dicts by key, anything else by repr."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, dict):
+            for key in sorted(part):
+                a = np.ascontiguousarray(part[key])
+                h.update(f"{key} {a.dtype} {a.shape}".encode())
+                h.update(a.tobytes())
+        else:
+            h.update(repr(part).encode())
+    print(h.hexdigest(), name)
+
+
+def arrays(module):
+    return {k: t.data for k, t in module.named_tensors().items()}
+
+
+def library():
+    families = ("sphere", "cube", "torus", "cylinder")
+    tiny = ModelConfig(c=16, heads=2, enc_depth=2, dec_depth=2, g=8, s=4, t=8, n_points=64)
+    train = gen_shapes(families, 2, 64, make_rng(80), "train")
+    test = gen_shapes(families, 6, 64, make_rng(81), "test")
+    fcfg = FinetuneConfig(steps=3, batch_size=2, warmup=1, layers=(1,))
+    for siamese in (True, False):
+        for mask in ("random", "block"):
+            tag = f"{'siamese' if siamese else 'two-decoder'}-{mask}"
+            mcfg = dataclasses.replace(tiny, siamese=siamese)
+            pcfg = PretrainConfig(steps=3, batch_size=2, warmup=1, mask_kind=mask)
+            model, teacher, _, metrics = pretrain_loop(train, mcfg, pcfg, seed=9)
+            digest(f"pretrain_loop-{tag}", metrics, arrays(model), arrays(teacher.encoder))
+            ft, history, acc = finetune_loop(train, test, mcfg, fcfg, seed=9,
+                                             init_arrays=arrays(model))
+            digest(f"finetune_loop-{tag}", history, acc, arrays(ft))
+            digest(f"few_shot-{tag}", few_shot(test, 2, 1, 2, mcfg, fcfg, seed=9, query=5,
+                                               init_arrays=arrays(model)))
+
+    desk, layers = ModelConfig(), FinetuneConfig().layers
+    items = gen_shapes(families, 1, 1024, make_rng(82), "train").items
+    clouds, labels = [c for c, _ in items], [l for _, l in items]
+    model = FinetuneModel(make_rng(9, 10), desk, n_classes=4)
+    with ad.no_grad():
+        groups, centers = _cloud_batch(clouds, desk, None, train=False)
+        digest("desk-logits", {"logits": model.forward(groups, centers, layers=layers).data})
+    rng = make_rng(9, 11, 0)
+    groups, centers = _cloud_batch(clouds, desk, rng, train=True)
+    logits = model.forward(groups, centers, layers=layers, rng=rng, training=True)
+    ad.backward(cross_entropy(logits, labels))
+    digest("desk-finetune-grads", {k: t.grad for k, t in model.named_tensors().items()})
+
+
 if __name__ == "__main__":
     replay(sys.argv[1])
+    library()
