@@ -4,8 +4,15 @@ Tensors wrap flat numpy storage. Every primitive records itself on a
 module-level graph (tape) when gradients are enabled and any input requires
 them; `backward` walks the tape once in reverse and deposits gradients on the
 leaves. Training runs in float32, verification in float64 (see `precision`).
+
+Some primitives work in place, or block by block, to spare full-size
+temporaries. They write only into arrays they allocated themselves, never
+into an input's data, an incoming gradient, or an array that a recorded VJP
+still reads. Each step is the numpy operation of the plain formula, in its
+order, so results are bit-identical to it.
 """
 
+import math
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -79,8 +86,13 @@ class _Node:
         self.vjp = vjp
 
 
+def _taped(inputs):
+    """Whether a primitive on these inputs is recorded on the tape."""
+    return _state.grad_enabled and any(i.requires_grad for i in inputs)
+
+
 def _record(out, inputs, vjp):
-    if _state.grad_enabled and any(i.requires_grad for i in inputs):
+    if _taped(inputs):
         out.requires_grad = True
         _state.graph.append(_Node(out, inputs, vjp))
     return out
@@ -248,13 +260,62 @@ def take(a, idx, axis=0):
     return _record(out, (a,), vjp)
 
 
+def _softmax(x, out=None):
+    """Softmax over the last axis of x, into out (a new array by default; x itself
+    when the caller owns x)."""
+    z = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
 def row_softmax(a):
-    x = a.data
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = _softmax(a.data)
     out = Tensor(s)
     return _record(out, (a,), lambda g: (s * (g - (g * s).sum(axis=-1, keepdims=True)),))
+
+
+def attention(q, k, v, heads):
+    """Multi-head scaled dot-product attention over (..., M, c) queries, keys and values.
+
+    One tape node for the head split, softmax(q k^T / sqrt(d)) v per head and
+    the merge back to (..., M, c). Scale and softmax work in place on the score
+    buffer; the VJP is the arithmetic of the swap_axes, reshape, matmul,
+    scalar_mul and row_softmax chain it replaces.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim < 2 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % heads:
+        raise ShapeError(f"attention: {list(q.shape)}, {list(k.shape)}, {list(v.shape)} "
+                         f"with {heads} heads")
+    *lead, m, c = q.shape
+    d = c // heads
+    scale = 1.0 / math.sqrt(d)
+
+    def split(t):  # (..., M, c) -> (..., h, M, d), a view
+        return np.swapaxes(t.reshape(*lead, m, heads, d), -2, -3)
+
+    def merge(t):  # (..., h, M, d) -> (..., M, c), a copy
+        return np.swapaxes(t, -2, -3).reshape(*lead, m, c)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    kt = np.swapaxes(kh, -1, -2)
+    att = np.matmul(qh, kt)
+    att *= scale
+    _softmax(att, out=att)
+    out = Tensor(merge(np.matmul(att, vh)))
+
+    def vjp(g):
+        g = np.swapaxes(g.reshape(*lead, m, heads, d), -2, -3)
+        ga = np.matmul(g, np.swapaxes(vh, -1, -2))
+        gv = np.matmul(np.swapaxes(att, -1, -2), g)
+        ga -= (ga * att).sum(axis=-1, keepdims=True)
+        ga *= att
+        ga *= scale
+        gq = np.matmul(ga, np.swapaxes(kt, -1, -2))
+        gk = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), ga), -1, -2)
+        return merge(gq), merge(gk), merge(gv)
+
+    return _record(out, (q, k, v), vjp)
 
 
 def log_softmax(a):
@@ -267,37 +328,90 @@ def log_softmax(a):
     return _record(out, (a,), lambda g: (g - s * g.sum(axis=-1, keepdims=True),))
 
 
-def layer_norm(a, eps=1e-6):
-    """Parameter-free normalization over the last axis (mean 0, variance 1)."""
+def layer_norm(a, gamma=None, beta=None, eps=1e-6):
+    """Normalization over the last axis (mean 0, variance 1), then * gamma + beta if given."""
     x = a.data
     # the x - mean and mean square that x.var computes internally, computed once
     xhat = x - x.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
     xhat *= inv
-    out = Tensor(xhat)
 
-    def vjp(g):
+    def normalize_vjp(g):
         gm = g.mean(axis=-1, keepdims=True)
         gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - xhat * gx),)
+        ga = g - gm - xhat * gx
+        ga *= inv
+        return ga
 
-    return _record(out, (a,), vjp)
+    if gamma is None:
+        return _record(Tensor(xhat), (a,), lambda g: (normalize_vjp(g),))
+    # off the tape no VJP reads xhat, so the affine may overwrite it
+    y = np.multiply(xhat, gamma.data, out=None if _taped((a, gamma, beta)) else xhat)
+    y += beta.data
+
+    def vjp(g):
+        # the add(mul(layer_norm(a), gamma), beta) chain, from beta back to a
+        return (normalize_vjp(g * gamma.data), _unbroadcast(g * xhat, gamma.shape),
+                _unbroadcast(g, beta.shape))
+
+    return _record(Tensor(y), (a, gamma, beta), vjp)
 
 
 _GELU_K = 0.7978845608028654  # sqrt(2/pi)
+_BLOCK = 1 << 16  # elements per pass of a blocked loop; a few float32 blocks fit in L2
+
+
+def _blocks(*arrays):
+    """Matching flat slices of equal-size arrays, _BLOCK elements at a time.
+
+    An array written through its slices must be C-contiguous, so that they are views.
+    """
+    flat = [a.reshape(-1) for a in arrays]
+    for i in range(0, flat[0].size, _BLOCK):
+        yield [f[i:i + _BLOCK] for f in flat]
 
 
 def gelu(a):
+    """0.5 x (1 + tanh(K (x + 0.044715 x^3))), its tanh term built in one owned buffer.
+
+    Off the tape that buffer becomes the output; on the tape the VJP reads it. Every
+    step runs block by block, so the temporaries are block-sized and stay in cache.
+    """
     x = a.data
-    inner = _GELU_K * (x + 0.044715 * x * x * x)
-    t = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + t))
+    taped = _taped((a,))
+    t = np.empty(x.shape, x.dtype)
+    y = np.empty(x.shape, x.dtype) if taped else t
+    for xs, ts, ys in _blocks(x, t, y):
+        np.multiply(0.044715, xs, out=ts)
+        ts *= xs
+        ts *= xs
+        ts += xs
+        ts *= _GELU_K
+        np.tanh(ts, out=ts)
+        np.add(1.0, ts, out=ys)
+        ys *= 0.5 * xs
+    if not taped:
+        return Tensor(y)
 
     def vjp(g):
-        dt = (1.0 - t * t) * _GELU_K * (1.0 + 3 * 0.044715 * x * x)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
+        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) K (1 + 3 * 0.044715 x^2))
+        gx = np.empty(x.shape, np.result_type(g, y))
+        for xs, ts, gs, gxs in _blocks(x, t, g, gx):
+            dt = ts * ts
+            np.subtract(1.0, dt, out=dt)
+            dt *= _GELU_K
+            u = np.multiply(3 * 0.044715, xs)
+            u *= xs
+            u += 1.0
+            dt *= u
+            np.add(1.0, ts, out=u)
+            u *= 0.5
+            dt *= 0.5 * xs
+            u += dt
+            np.multiply(gs, u, out=gxs)
+        return (gx,)
 
-    return _record(out, (a,), vjp)
+    return _record(Tensor(y), (a,), vjp)
 
 
 def max_reduce(a, axis):

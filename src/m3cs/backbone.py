@@ -1,7 +1,5 @@
 """Transformer encoder (student/teacher), the siamese decoder, and the shared backbone."""
 
-import math
-
 from . import autodiff as ad
 from .autodiff import Tensor
 from .layers import LayerNorm, Linear, Module
@@ -20,18 +18,7 @@ class SelfAttention(Module):
         self.proj = Linear(rng, c, c)
 
     def __call__(self, x):
-        lead = x.shape[:-2]
-        m, c = x.shape[-2], x.shape[-1]
-        h, d = self.heads, self.head_dim
-
-        def split(t):  # (..., M, c) -> (..., h, M, d)
-            return ad.swap_axes(ad.reshape(t, (*lead, m, h, d)), -2, -3)
-
-        q, k, v = split(self.q(x)), split(self.k(x)), split(self.v(x))
-        scores = ad.scalar_mul(ad.matmul(q, ad.swap_axes(k, -1, -2)), 1.0 / math.sqrt(d))
-        att = ad.row_softmax(scores)
-        out = ad.swap_axes(ad.matmul(att, v), -2, -3)
-        return self.proj(ad.reshape(out, (*lead, m, c)))
+        return self.proj(ad.attention(self.q(x), self.k(x), self.v(x), self.heads))
 
 
 class Block(Module):

@@ -104,6 +104,8 @@ PRIMITIVES = [
     ("layer_norm", lambda a: ad.mul(ad.layer_norm(a), Tensor(make_rng(8).normal(size=(3, 8)))),
      1, [(3, 8)]),
     ("gelu", lambda a: ad.gelu(a), 1, [(3, 4)]),
+    ("attention", lambda q, k, v: ad.attention(q, k, v, 2), 3, [(2, 3, 4)] * 3),
+    ("layer_norm_affine", lambda a, g, b: ad.layer_norm(a, g, b), 3, [(3, 8), (8,), (8,)]),
     ("max_reduce", lambda a: ad.max_reduce(a, axis=-2), 1, [(3, 5, 4)]),
     ("mean_reduce", lambda a: ad.mean_reduce(a, axis=1), 1, [(3, 5)]),
     ("mean_all", lambda a: ad.mean_reduce(a), 1, [(3, 5)]),
@@ -275,7 +277,7 @@ def _matmul_add(x, w, b):
 
 
 def _run_graph(build, arrays, grad_out):
-    """Output and leaf gradients of sum(build(*leaves) * grad_out), in float32."""
+    """Output and leaf gradients of sum(build(*leaves) * grad_out), in the current precision."""
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     out = build(*leaves)
     backward(ad.sum_reduce(ad.mul(out, Tensor(grad_out))))
@@ -390,3 +392,178 @@ def test_dropout_identity_and_scale():
     assert 0.4 < kept.mean() < 0.6
     np.testing.assert_allclose(y.data[kept], 2.0 * x.data[kept], rtol=1e-6)
     ad.clear_graph()
+
+
+# ------------------------------------------------- fused primitives vs their chains
+
+
+def _plain_gelu(a):
+    """The GELU primitive before it worked in place: every step a new array."""
+    x = a.data
+    t = np.tanh(ad._GELU_K * (x + 0.044715 * x * x * x))
+
+    def vjp(g):
+        dt = (1.0 - t * t) * ad._GELU_K * (1.0 + 3 * 0.044715 * x * x)
+        return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
+
+    return ad._record(Tensor(0.5 * x * (1.0 + t)), (a,), vjp)
+
+
+def _attention_chain(q, k, v, heads):
+    """SelfAttention's core as the 13-node chain it was before ad.attention."""
+    *lead, m, c = q.shape
+    d = c // heads
+
+    def split(t):
+        return ad.swap_axes(ad.reshape(t, (*lead, m, heads, d)), -2, -3)
+
+    q, k, v = split(q), split(k), split(v)
+    scores = ad.scalar_mul(ad.matmul(q, ad.swap_axes(k, -1, -2)), 1.0 / np.sqrt(d))
+    out = ad.swap_axes(ad.matmul(ad.row_softmax(scores), v), -2, -3)
+    return ad.reshape(out, (*lead, m, c))
+
+
+def _layer_norm_chain(a, gamma, beta):
+    return ad.add(ad.mul(ad.layer_norm(a), gamma), beta)
+
+
+def _assert_bitwise(new, old, dtype):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.dtype == np.dtype(dtype) and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+FUSED = {
+    "gelu": (ad.gelu, _plain_gelu),
+    "attention4": (lambda q, k, v: ad.attention(q, k, v, 4),
+                   lambda q, k, v: _attention_chain(q, k, v, 4)),
+    "attention2": (lambda q, k, v: ad.attention(q, k, v, 2),
+                   lambda q, k, v: _attention_chain(q, k, v, 2)),
+    "layer_norm": (ad.layer_norm, _layer_norm_chain),
+}
+
+# the tokenizer's and the encoder's GELU inputs, one whose size is no multiple of
+# autodiff._BLOCK, the encoder's attention over all 32
+# patches and over the student's 11 visible ones, a tiny-config attention, and
+# LayerNorm at encoder width; each as (fused name, input shapes, input scale)
+FUSED_CASES = {
+    "gelu-tokenizer": ("gelu", [(16, 32, 16, 64)], 3.0),
+    "gelu-encoder": ("gelu", [(16, 32, 384)], 3.0),
+    "gelu-ragged": ("gelu", [(5, 13109)], 3.0),  # a last block of 9 elements
+    "attention-desk": ("attention4", [(16, 32, 96)] * 3, 1.0),
+    "attention-student": ("attention4", [(16, 11, 96)] * 3, 1.0),
+    "attention-tiny": ("attention2", [(2, 8, 16)] * 3, 1.0),
+    "layer_norm-desk": ("layer_norm", [(16, 32, 96), (96,), (96,)], 2.0),
+}
+
+
+def _fused_inputs(shapes, scale, seed=41):
+    rng = make_rng(seed)
+    return [scale * rng.normal(size=s) for s in shapes]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("case", list(FUSED_CASES))
+def test_fused_bitwise_equals_chain(case, dtype):
+    name, shapes, scale = FUSED_CASES[case]
+    fused, chain = FUSED[name]
+    arrays = _fused_inputs(shapes, scale)
+    grad_out = make_rng(40).normal(size=shapes[0])  # each output has its first input's shape
+    with precision(dtype):
+        new = _run_graph(fused, arrays, grad_out)
+        old = _run_graph(chain, arrays, grad_out)
+    _assert_bitwise(new, old, dtype)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("case", list(FUSED_CASES))
+def test_fused_bitwise_equals_chain_off_the_tape(case, dtype):
+    name, shapes, scale = FUSED_CASES[case]
+    fused, chain = FUSED[name]
+    arrays = _fused_inputs(shapes, scale)
+    with precision(dtype), ad.no_grad():
+        new = fused(*[Tensor(a, requires_grad=True) for a in arrays])
+        old = chain(*[Tensor(a, requires_grad=True) for a in arrays])
+    assert ad.graph_size() == 0 and not new.requires_grad
+    _assert_bitwise([new.data], [old.data], dtype)
+
+
+@pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+@pytest.mark.parametrize("name", list(FUSED))
+def test_fused_leaves_inputs_and_gradient_untouched(name, taped):
+    fused = FUSED[name][0]
+    shapes = [(3, 5, 8), (8,), (8,)] if name == "layer_norm" else [(3, 5, 8)] * (
+        1 if name == "gelu" else 3)
+    arrays = [a.astype(np.float32) for a in _fused_inputs(shapes, 2.0)]
+    leaves = [Tensor(a.copy(), requires_grad=taped) for a in arrays]
+    out = fused(*leaves)
+    nodes = list(ad._state.graph)
+    ad.clear_graph()
+    assert len(nodes) == (1 if taped else 0)
+    for t, a in zip(leaves, arrays):
+        assert np.array_equal(t.data, a)
+    if not taped:
+        return
+    g = make_rng(42).normal(size=out.shape).astype(np.float32)
+    first = nodes[0].vjp(g.copy())
+    g_in = g.copy()
+    second = nodes[0].vjp(g_in)
+    assert np.array_equal(g_in, g)  # the incoming gradient is read, never written
+    for t, a in zip(leaves, arrays):
+        assert np.array_equal(t.data, a)
+    # a second call finds the arrays the VJP reads as the first left them
+    _assert_bitwise(second, first, "float32")
+
+
+def test_gelu_output_with_two_consumers_matches_plain():
+    arrays = _fused_inputs([(16, 32, 384), (16, 32, 384)], 3.0)
+
+    def build(gelu):
+        def fn(x, w):
+            y = gelu(x)  # read by mul's VJP and fed to a second gelu
+            return ad.add(ad.mul(y, w), gelu(y))
+        return fn
+
+    grad_out = make_rng(40).normal(size=(16, 32, 384))
+    _assert_bitwise(_run_graph(build(ad.gelu), arrays, grad_out),
+                    _run_graph(build(_plain_gelu), arrays, grad_out), "float32")
+
+
+def test_self_attention_and_layer_norm_tape_sizes():
+    from m3cs.backbone import SelfAttention
+    from m3cs.layers import LayerNorm
+
+    x = rand(2, 5, 8, seed=43)
+    attn, norm = SelfAttention(make_rng(44), 8, 2), LayerNorm(8)
+    attn(x)
+    assert ad.graph_size() == 5  # four linears and the attention core
+    ad.clear_graph()
+    norm(x)
+    assert ad.graph_size() == 1
+    ad.clear_graph()
+
+
+def test_attention_shape_error():
+    with pytest.raises(ShapeError, match="attention"):
+        ad.attention(rand(2, 3, 4), rand(2, 3, 4), rand(2, 3, 4), 3)
+    with pytest.raises(ShapeError, match="attention"):
+        ad.attention(rand(2, 3, 4), rand(2, 4, 4), rand(2, 3, 4), 2)
+    with pytest.raises(ShapeError, match="attention"):
+        ad.attention(rand(4), rand(4), rand(4), 2)
+
+
+@given(hnp.array_shapes(min_dims=0, max_dims=2, **SMALL), st.integers(1, 3),
+       st.integers(1, 2), st.integers(1, 3), st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_attention_gradcheck_random_shape(lead, m, heads, d, seed):
+    shape = (*lead, m, heads * d)
+    _check_fd(lambda q, k, v: ad.attention(q, k, v, heads), [shape] * 3, seed)
+
+
+@given(hnp.array_shapes(min_dims=0, max_dims=2, **SMALL), st.integers(3, 5),
+       st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_layer_norm_affine_gradcheck_random_shape(lead, n, seed):
+    # gamma and beta vary the loss, so sum(out ** 2) needs no extra weight
+    _check_fd(ad.layer_norm, [(*lead, n), (n,), (n,)], seed)

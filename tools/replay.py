@@ -7,7 +7,9 @@ match across checkouts. CLI artifacts: each command's stdout, and each CSV, conf
 checkpoint under the out dir. Library artifacts, which touch no file: tiny pretrain_loop
 metrics with student and teacher weights for each decoder sharing and mask kind, and a
 finetune_loop and few_shot records from each of those students; desk FinetuneModel
-logits and the leaf gradients of one desk fine-tune backward.
+logits and the leaf gradients of one desk fine-tune backward; and one desk pretrain
+train_step: its record, the student and decoder weights after AdamW, the teacher after
+EMA, and the AdamW moments, which carry the gradients of both decoder passes.
 """
 
 import contextlib
@@ -26,7 +28,9 @@ from m3cs.config import FinetuneConfig, ModelConfig, PretrainConfig  # noqa: E40
 from m3cs.data import gen_shapes  # noqa: E402
 from m3cs.finetune import (FinetuneModel, _cloud_batch, cross_entropy, few_shot,  # noqa: E402
                            finetune_loop)
-from m3cs.pretrain import pretrain_loop  # noqa: E402
+from m3cs.optim import AdamW  # noqa: E402
+from m3cs.pretrain import (PretrainModel, assemble_batch, init_teacher,  # noqa: E402
+                           pretrain_loop, train_step)
 from m3cs.rng import make_rng  # noqa: E402
 
 MODEL = ["--model.c", "16", "--model.heads", "2", "--model.enc_depth", "2",
@@ -106,8 +110,8 @@ def library():
                                                init_arrays=arrays(model)))
 
     desk, layers = ModelConfig(), FinetuneConfig().layers
-    items = gen_shapes(families, 1, 1024, make_rng(82), "train").items
-    clouds, labels = [c for c, _ in items], [l for _, l in items]
+    desk_set = gen_shapes(families, 1, 1024, make_rng(82), "train")
+    clouds, labels = [c for c, _ in desk_set.items], [l for _, l in desk_set.items]
     model = FinetuneModel(make_rng(9, 10), desk, n_classes=4)
     with ad.no_grad():
         groups, centers = _cloud_batch(clouds, desk, None, train=False)
@@ -117,6 +121,16 @@ def library():
     logits = model.forward(groups, centers, layers=layers, rng=rng, training=True)
     ad.backward(cross_entropy(logits, labels))
     digest("desk-finetune-grads", {k: t.grad for k, t in model.named_tensors().items()})
+
+    pcfg = PretrainConfig()
+    model = PretrainModel(make_rng(9, 0), desk)
+    teacher = init_teacher(model, pcfg.lam_start, pcfg.lam_end)
+    opt = AdamW(model.params(), lr=pcfg.lr, weight_decay=pcfg.weight_decay,
+                total_steps=pcfg.steps, warmup=pcfg.warmup)
+    batch = assemble_batch(desk_set, 4, desk, make_rng(9, 1, 0))
+    rec = train_step(model, teacher, opt, batch, 0, desk, pcfg, seed=9)
+    digest("desk-pretrain-step", rec, arrays(model), arrays(teacher.encoder))
+    digest("desk-pretrain-moments", opt.state_arrays())
 
 
 if __name__ == "__main__":
