@@ -118,11 +118,19 @@ def metrics_stream(path, header):
         yield writer.writerow
 
 
+def _resample(cloud, n_points, i):
+    """The cloud resampled to n_points by the draw keyed to chunk position i."""
+    idx = make_rng(7, i).choice(cloud.n, size=n_points, replace=cloud.n < n_points)
+    return PointCloud(points=cloud.points[idx])
+
+
 def _cloud_batch(clouds, mcfg, rng, train=True):
     """The one clouds-to-patches rule: dense (B,G,S,3) groups and (B,G,3) centers.
 
-    Training augments each cloud and starts FPS at a random point; otherwise a
-    cloud is resampled to mcfg.n_points (keyed by its position) and FPS starts at 0.
+    Training augments each cloud and starts FPS at a random point, so its
+    fresh clouds are grouped once and freed. Otherwise a cloud is resampled to
+    mcfg.n_points (keyed by its position) and FPS starts at 0; the resampled
+    cloud and its patches are derived once and kept on the source cloud.
     """
     all_groups, all_centers = [], []
     for i, cloud in enumerate(clouds):
@@ -131,9 +139,7 @@ def _cloud_batch(clouds, mcfg, rng, train=True):
             start = int(rng.integers(cloud.n))
         else:
             if cloud.n != mcfg.n_points:
-                idx = make_rng(7, i).choice(cloud.n, size=mcfg.n_points,
-                                            replace=cloud.n < mcfg.n_points)
-                cloud = PointCloud(points=cloud.points[idx])
+                cloud = cloud.derive(_resample, mcfg.n_points, i)
             start = 0
         ps = group(cloud, mcfg.g, mcfg.s, start=start)
         all_groups.append(ps.groups)

@@ -1,33 +1,63 @@
-"""Point-cloud structures, FPS + k-NN patch construction, and the Chamfer loss."""
+"""Point-cloud structures, FPS + k-NN patch construction, and the Chamfer loss.
 
-from dataclasses import dataclass
+Clouds are immutable: a `PointCloud` holds a read-only float64 copy of the
+points it was built from, and the arrays of a `PatchSet` are read-only. So
+whatever is derived from a cloud stays valid while the cloud exists, and
+`PointCloud.derive` keeps it that long: each `fn(cloud, *args)` is computed
+once per cloud and freed with the cloud. `group` derives through it, so a
+cloud that is grouped again with the same settings is not grouped twice.
+Nothing bounds or evicts these entries: a cloud made afresh each step, such
+as an augmented one, takes its entries with it when it is dropped.
+"""
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, _record, as_tensor, reshape
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointCloud:
     points: np.ndarray  # (N, 3)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[1] != 3 or len(self.points) < 1:
-            raise ShapeError(f"point cloud must be (N>=1, 3), got {list(self.points.shape)}")
-        if not np.all(np.isfinite(self.points)):
+        points = np.array(self.points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 3 or len(points) < 1:
+            raise ShapeError(f"point cloud must be (N>=1, 3), got {list(points.shape)}")
+        if not np.all(np.isfinite(points)):
             raise FloatingPointError("point cloud contains non-finite coordinates")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt from the points: read-only, nothing derived
+        return PointCloud, (self.points,)
 
     @property
     def n(self):
         return len(self.points)
 
+    def derive(self, fn, *args):
+        """fn(self, *args), computed on the first call and kept while this cloud exists."""
+        key = (fn, *args)
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = fn(self, *args)
+            return value
 
-@dataclass
+
+@dataclass(frozen=True)
 class PatchSet:
     centers: np.ndarray         # (G, 3)
     groups: np.ndarray          # (G, S, 3) center-relative
     source_indices: np.ndarray  # (G, S), row j starts with the center index
+
+    def __post_init__(self):
+        for a in (self.centers, self.groups, self.source_indices):
+            a.flags.writeable = False
 
 
 def _sqdists(a, b):
@@ -92,7 +122,11 @@ def knn(query, cloud, k):
 
 
 def group(cloud, g, s, start=0):
-    """FPS centers + (s-1)-NN groups in center-relative coordinates."""
+    """FPS centers + (s-1)-NN groups in center-relative coordinates, once per cloud."""
+    return cloud.derive(_group, g, s, start)
+
+
+def _group(cloud, g, s, start):
     if s > cloud.n:
         raise ValueError(f"group: S={s} exceeds cloud size {cloud.n}")
     center_idx = fps(cloud, g, start)

@@ -62,7 +62,6 @@ def test_backward_requires_scalar():
     y = ad.mul(x, x)
     with pytest.raises(ShapeError):
         backward(y)
-    ad.clear_graph()
 
 
 def test_backward_empty_graph():
@@ -323,7 +322,6 @@ def test_linear_vjp_skips_operands_without_grad():
     x, w, b = Tensor(np.ones((2, 3))), rand(3, 4), Tensor(np.zeros(4))
     out = ad.linear(x, w, b)
     gx, gw, gb = ad._state.graph[-1].vjp(np.ones(out.shape, dtype=np.float32))
-    ad.clear_graph()
     assert gx is None and gb is None
     np.testing.assert_array_equal(gw, np.full((3, 4), 2.0))
 
@@ -391,7 +389,6 @@ def test_dropout_identity_and_scale():
     kept = y.data != 0
     assert 0.4 < kept.mean() < 0.6
     np.testing.assert_allclose(y.data[kept], 2.0 * x.data[kept], rtol=1e-6)
-    ad.clear_graph()
 
 
 # ------------------------------------------------- fused primitives vs their chains
@@ -499,7 +496,6 @@ def test_fused_leaves_inputs_and_gradient_untouched(name, taped):
     leaves = [Tensor(a.copy(), requires_grad=taped) for a in arrays]
     out = fused(*leaves)
     nodes = list(ad._state.graph)
-    ad.clear_graph()
     assert len(nodes) == (1 if taped else 0)
     for t, a in zip(leaves, arrays):
         assert np.array_equal(t.data, a)
@@ -541,7 +537,6 @@ def test_self_attention_and_layer_norm_tape_sizes():
     ad.clear_graph()
     norm(x)
     assert ad.graph_size() == 1
-    ad.clear_graph()
 
 
 def test_attention_shape_error():

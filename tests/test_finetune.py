@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import re
@@ -13,6 +14,7 @@ from m3cs.data import Dataset, gen_shapes
 from m3cs.finetune import (
     ClassifierHead,
     FinetuneModel,
+    _cloud_batch,
     cross_entropy,
     evaluate,
     few_shot,
@@ -22,6 +24,7 @@ from m3cs.finetune import (
     sample_episode,
     trainable_params,
 )
+from m3cs.optim import AdamW
 from m3cs.pretrain import PretrainModel
 from m3cs.rng import make_rng
 
@@ -299,6 +302,46 @@ def test_evaluate_is_deterministic():
     b = evaluate(model, test, TINY, fcfg)
     assert a == b
     assert 0.0 <= a <= 1.0
+
+
+def test_eval_batch_groups_each_cloud_once(fps_calls):
+    desk, layers = ModelConfig(), FinetuneConfig().layers
+    clouds = [c for c, _ in gen_shapes(["sphere", "cube", "torus"], 1, 1024, make_rng(24)).items]
+    clouds.append(clouds[0])  # one cloud at two chunk positions
+    model = FinetuneModel(make_rng(25), desk, n_classes=3)
+
+    def batch_and_logits(batch, mcfg):
+        groups, centers = _cloud_batch(batch, mcfg, None, train=False)
+        with ad.no_grad():
+            logits = model.forward(groups, centers, layers=layers).data
+        return groups, centers, logits
+
+    for mcfg in (desk, dataclasses.replace(desk, n_points=256)):
+        # deep copies carry nothing derived, so they group from scratch
+        fresh = batch_and_logits([copy.deepcopy(c) for c in clouds], mcfg)
+        del fps_calls[:]
+        first = batch_and_logits(clouds, mcfg)
+        assert len(fps_calls) == len(clouds)
+        second = batch_and_logits(clouds, mcfg)
+        assert len(fps_calls) == len(clouds)
+        for a, b, c in zip(first, second, fresh):
+            assert a.dtype == c.dtype and a.shape == c.shape
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
+def test_finetune_step_keeps_nothing_on_its_clouds(fps_calls):
+    fcfg = FinetuneConfig(batch_size=4, layers=(1,))
+    train = four_class_dataset(1, 26)
+    clouds, labels = [c for c, _ in train.items], [l for _, l in train.items]
+    model = FinetuneModel(make_rng(27), TINY, n_classes=4)
+    opt = AdamW(trainable_params(model, fcfg), lr=fcfg.lr, total_steps=2)
+    for step in range(2):
+        del fps_calls[:]
+        finetune_mod.finetune_step(model, opt, clouds, labels, TINY, fcfg, make_rng(28, step))
+        # fresh augmented clouds, each grouped once, none of them a source cloud
+        assert len(fps_calls) == len(clouds)
+        assert not {id(c) for c in fps_calls} & {id(c) for c in clouds}
+        assert all(c._derived == {} for c in clouds)
 
 
 def test_evaluate_refuses_empty_dataset():

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,6 +328,45 @@ def test_group_matches_loop_oracle_at_desk_sizes(seed, n):
         got, want = group(cloud, 32, 16, start), ref_group(cloud, 32, 16, start)
         assert same_bits(got.source_indices, want.source_indices)
         assert same_bits(got.groups, want.groups)
+
+
+def same_patches(got, want):
+    return all(same_bits(getattr(got, f), getattr(want, f))
+               for f in ("centers", "groups", "source_indices"))
+
+
+def test_group_memo_hit_and_miss_match_oracle(fps_calls):
+    cloud = PointCloud(points=make_rng(14).normal(size=(80, 3)))
+    first = group(cloud, 8, 6, start=3)
+    assert len(fps_calls) == 1 and same_patches(first, ref_group(cloud, 8, 6, 3))
+    again = group(cloud, 8, 6, start=3)
+    assert len(fps_calls) == 1 and again is first
+    assert same_patches(again, ref_group(cloud, 8, 6, 3))
+    # any other (g, s, start) is computed afresh, and kept beside the first
+    for n, (g, s, start) in enumerate([(8, 6, 4), (9, 6, 3), (8, 7, 3)], start=2):
+        got = group(cloud, g, s, start)
+        assert len(fps_calls) == n and same_patches(got, ref_group(cloud, g, s, start))
+    assert group(cloud, 8, 6, start=3) is first and len(fps_calls) == 4
+
+
+def test_clouds_and_patches_are_read_only():
+    base = make_rng(15).normal(size=(40, 3))
+    cloud = PointCloud(points=base)
+    kept = cloud.points.copy()
+    base[:] = 0.0  # the cloud holds its own copy
+    assert same_bits(cloud.points, kept)
+    with pytest.raises(ValueError, match="read-only"):
+        cloud.points[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cloud.points = base
+    ps = group(cloud, 4, 5)
+    for a in (ps.centers, ps.groups, ps.source_indices):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    # a copy is rebuilt from the points: read-only, with nothing derived
+    dup = copy.deepcopy(cloud)
+    assert dup._derived == {} and not dup.points.flags.writeable
+    assert same_bits(dup.points, cloud.points) and cloud._derived
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -7,9 +7,10 @@ match across checkouts. CLI artifacts: each command's stdout, and each CSV, conf
 checkpoint under the out dir. Library artifacts, which touch no file: tiny pretrain_loop
 metrics with student and teacher weights for each decoder sharing and mask kind, and a
 finetune_loop and few_shot records from each of those students; desk FinetuneModel
-logits and the leaf gradients of one desk fine-tune backward; and one desk pretrain
-train_step: its record, the student and decoder weights after AdamW, the teacher after
-EMA, and the AdamW moments, which carry the gradients of both decoder passes.
+logits, then a second eval batch of the same clouds with its logits; the leaf gradients
+of one desk fine-tune backward; and one desk pretrain train_step: its record, the
+student and decoder weights after AdamW, the teacher after EMA, and the AdamW moments,
+which carry the gradients of both decoder passes.
 """
 
 import contextlib
@@ -116,6 +117,10 @@ def library():
     with ad.no_grad():
         groups, centers = _cloud_batch(clouds, desk, None, train=False)
         digest("desk-logits", {"logits": model.forward(groups, centers, layers=layers).data})
+        # the same clouds again, whose patches the first batch derived and kept
+        groups, centers = _cloud_batch(clouds, desk, None, train=False)
+        digest("desk-eval-batch-again", {"groups": groups, "centers": centers})
+        digest("desk-logits-again", {"logits": model.forward(groups, centers, layers=layers).data})
     rng = make_rng(9, 11, 0)
     groups, centers = _cloud_batch(clouds, desk, rng, train=True)
     logits = model.forward(groups, centers, layers=layers, rng=rng, training=True)
