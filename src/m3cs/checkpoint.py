@@ -72,15 +72,9 @@ def load_checkpoint(path):
     return tensors, config
 
 
-def collect_pretrain_state(model, teacher, opt):
-    """Flat tensor dict for a resumable pretrain checkpoint."""
-    out = {}
-    for k, p in model.params().items():
-        out[f"student.{k}"] = p.data
-    for k, p in teacher.encoder.named_tensors().items():
-        out[f"teacher.{k}"] = p.data
-    out.update(opt.state_arrays())
-    return out
+def collect_pretrain_state(model):
+    """The student's parameters: all that leaves pretraining."""
+    return {f"student.{k}": p.data for k, p in model.params().items()}
 
 
 def collect_finetune_state(model):

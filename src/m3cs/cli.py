@@ -119,11 +119,11 @@ def cmd_pretrain(cfg, given):
     train = _dataset(cfg, "train")
     _prepare_out(cfg)
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
-    model, teacher, opt, metrics = pretrain_loop(
+    model, _, _, metrics = pretrain_loop(
         train, cfg.model, cfg.pretrain, seed=cfg.seed,
         metrics_path=metrics_path, log_every=25)
     ckpt = cfg.checkpoint or os.path.join(cfg.out_dir, "pretrain.ckpt")
-    save_checkpoint(ckpt, collect_pretrain_state(model, teacher, opt), to_flat(cfg))
+    save_checkpoint(ckpt, collect_pretrain_state(model), to_flat(cfg))
     last = metrics[-1]
     print(f"pretrained {cfg.pretrain.steps} steps: l_total={last['l_total']:.4f} "
           f"perplexity={last['perplexity']:.1f}")

@@ -174,21 +174,30 @@ def save_dataset(dirpath, dataset):
 
 
 def load_dataset(dirpath, split="train"):
-    """Load any directory of .xyz files listed in manifest.csv (path,label)."""
+    """Load any directory of .xyz files listed in manifest.csv (path,label).
+
+    A label is a class id: an integer in [0, classes in classes.txt), else >= 0.
+    """
     manifest = os.path.join(dirpath, "manifest.csv")
     if not os.path.exists(manifest):
         raise FileNotFoundError(f"no manifest.csv in {dirpath}")
+    classes_file = os.path.join(dirpath, "classes.txt")
+    class_names = None
+    if os.path.exists(classes_file):
+        with open(classes_file) as fh:
+            class_names = [ln.strip() for ln in fh if ln.strip()]
+    n_classes = float("inf") if class_names is None else len(class_names)
     items = []
     with open(manifest, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["path", "label"]:
             raise ValueError(f"{manifest}: expected header path,label")
         for row in reader:
-            items.append((load_xyz(os.path.join(dirpath, row["path"])), int(row["label"])))
-    classes_file = os.path.join(dirpath, "classes.txt")
-    if os.path.exists(classes_file):
-        with open(classes_file) as fh:
-            class_names = [ln.strip() for ln in fh if ln.strip()]
-    else:
-        class_names = [str(i) for i in range(max(l for _, l in items) + 1)]
+            label = (row["label"] or "").strip()  # None when the row is short
+            if not label.isdecimal() or int(label) >= n_classes:
+                raise ValueError(f"{manifest}:{reader.line_num}: label {label!r} is not an "
+                                 f"integer in [0, {n_classes})")
+            items.append((load_xyz(os.path.join(dirpath, row["path"])), int(label)))
+    if class_names is None:
+        class_names = [str(i) for i in range(max((l for _, l in items), default=-1) + 1)]
     return Dataset(items=items, class_names=class_names, split=split)

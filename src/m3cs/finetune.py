@@ -118,6 +118,25 @@ def metrics_stream(path, header):
         yield writer.writerow
 
 
+def step_loop(cfg, params, seed, stream, step_fn, metrics_path, header, log_every, log):
+    """cfg.steps steps of step_fn(opt, step, rng) -> record, under AdamW on params with
+    cfg's lr, weight_decay, steps and warmup; rng is keyed by (seed, stream, step).
+
+    Each record is kept, streamed to the CSV at metrics_path, and every log_every
+    steps printed by the format string `log`. Returns (optimizer, records).
+    """
+    opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay,
+                total_steps=cfg.steps, warmup=cfg.warmup)
+    records = []
+    with metrics_stream(metrics_path, header) as write:
+        for step in range(cfg.steps):
+            records.append(step_fn(opt, step, make_rng(seed, stream, step)))
+            write(records[-1])
+            if log_every and step % log_every == 0:
+                print(log.format_map(records[-1]))
+    return opt, records
+
+
 def _resample(cloud, n_points, i):
     """The cloud resampled to n_points by the draw keyed to chunk position i."""
     idx = make_rng(7, i).choice(cloud.n, size=n_points, replace=cloud.n < n_points)
@@ -192,23 +211,19 @@ def finetune_loop(train_ds, test_ds, mcfg, fcfg, seed=0, init_arrays=None,
                           hidden=fcfg.hidden, dropout=fcfg.dropout)
     if init_arrays is not None:
         model.load_params(init_arrays)
-    opt = AdamW(trainable_params(model, fcfg), lr=fcfg.lr,
-                weight_decay=fcfg.weight_decay, total_steps=fcfg.steps,
-                warmup=fcfg.warmup)
-    history = []
     all_idx = np.arange(len(train_ds.items))
-    with metrics_stream(metrics_path, ["step", "loss", "train_acc"]) as write:
-        for step in range(fcfg.steps):
-            rng = make_rng(seed, 11, step)
-            picks = rng.choice(all_idx, size=min(fcfg.batch_size, len(all_idx)),
-                               replace=len(all_idx) < fcfg.batch_size)
-            clouds = [train_ds.items[int(i)][0] for i in picks]
-            labels = [train_ds.items[int(i)][1] for i in picks]
-            loss, acc = finetune_step(model, opt, clouds, labels, mcfg, fcfg, rng)
-            history.append({"step": step, "loss": loss, "train_acc": acc})
-            write(history[-1])
-            if log_every and step % log_every == 0:
-                print(f"step {step}: loss={loss:.4f} train_acc={acc:.3f}")
+
+    def step_fn(opt, step, rng):
+        picks = rng.choice(all_idx, size=min(fcfg.batch_size, len(all_idx)),
+                           replace=len(all_idx) < fcfg.batch_size)
+        clouds = [train_ds.items[int(i)][0] for i in picks]
+        labels = [train_ds.items[int(i)][1] for i in picks]
+        loss, acc = finetune_step(model, opt, clouds, labels, mcfg, fcfg, rng)
+        return {"step": step, "loss": loss, "train_acc": acc}
+
+    _, history = step_loop(fcfg, trainable_params(model, fcfg), seed, 11, step_fn,
+                           metrics_path, ["step", "loss", "train_acc"], log_every,
+                           "step {step}: loss={loss:.4f} train_acc={train_acc:.3f}")
     test_acc = evaluate(model, test_ds, mcfg, fcfg) if test_ds else None
     return model, history, test_acc
 

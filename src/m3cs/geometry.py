@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import ShapeError, Tensor, _record, as_tensor, reshape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     points: np.ndarray  # (N, 3)
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -49,7 +49,7 @@ class PointCloud:
             return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatchSet:
     centers: np.ndarray         # (G, 3)
     groups: np.ndarray          # (G, S, 3) center-relative

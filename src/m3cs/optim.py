@@ -54,17 +54,3 @@ class AdamW:
             mhat = m / (1 - b1**t)
             vhat = v / (1 - b2**t)
             p.data -= lr * (mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p.data)
-
-    def state_arrays(self):
-        """Flat name -> array view of optimizer state, for checkpointing."""
-        out = {"opt.step": np.array([float(self.step_count)], dtype=np.float32)}
-        for k in self.params:
-            out[f"opt.m.{k}"] = self.m[k]
-            out[f"opt.v.{k}"] = self.v[k]
-        return out
-
-    def load_state_arrays(self, arrays):
-        self.step_count = int(arrays["opt.step"][0])
-        for k in self.params:
-            self.m[k] = arrays[f"opt.m.{k}"].astype(self.m[k].dtype).reshape(self.m[k].shape)
-            self.v[k] = arrays[f"opt.v.{k}"].astype(self.v[k].dtype).reshape(self.v[k].shape)

@@ -10,10 +10,9 @@ from .autodiff import Tensor
 from .backbone import Backbone, EncoderStack, SiameseDecoder
 from .codebook import Codebook, Quantizer, perplexity, temperature
 from .config import ModelConfig, PretrainConfig
-from .finetune import _cloud_batch, metrics_stream
+from .finetune import _cloud_batch, step_loop
 from .geometry import chamfer_batch
 from .layers import Linear, init_param
-from .optim import AdamW
 from .rng import make_rng
 
 METRICS_HEADER = ["step", "l_align", "l_rec", "l_total", "lambda", "tau", "perplexity"]
@@ -231,17 +230,13 @@ def pretrain_loop(dataset, mcfg: ModelConfig, pcfg: PretrainConfig, seed=0,
     """Full pretraining run. Returns (model, teacher, optimizer, metrics list)."""
     model = PretrainModel(make_rng(seed, 0), mcfg)
     teacher = init_teacher(model, pcfg.lam_start, pcfg.lam_end)
-    opt = AdamW(model.params(), lr=pcfg.lr, weight_decay=pcfg.weight_decay,
-                total_steps=pcfg.steps, warmup=pcfg.warmup)
-    metrics = []
-    with metrics_stream(metrics_path, METRICS_HEADER) as write:
-        for step in range(pcfg.steps):
-            batch = assemble_batch(dataset, pcfg.batch_size, mcfg, make_rng(seed, 1, step))
-            rec = train_step(model, teacher, opt, batch, step, mcfg, pcfg, seed)
-            metrics.append(rec)
-            write(rec)
-            if log_every and step % log_every == 0:
-                print(f"step {step}: l_total={rec['l_total']:.4f} "
-                      f"l_align={rec['l_align']:.4f} l_rec={rec['l_rec']:.4f} "
-                      f"ppl={rec['perplexity']:.1f}")
+
+    def step_fn(opt, step, rng):
+        batch = assemble_batch(dataset, pcfg.batch_size, mcfg, rng)
+        return train_step(model, teacher, opt, batch, step, mcfg, pcfg, seed)
+
+    opt, metrics = step_loop(
+        pcfg, model.params(), seed, 1, step_fn, metrics_path, METRICS_HEADER, log_every,
+        "step {step}: l_total={l_total:.4f} l_align={l_align:.4f} l_rec={l_rec:.4f} "
+        "ppl={perplexity:.1f}")
     return model, teacher, opt, metrics

@@ -133,20 +133,14 @@ def test_checkpoint_truncated_at_every_byte(tmp_path):
     assert load_checkpoint(cut)[1] == {"seed": 1}
 
 
-def test_collect_pretrain_state_names():
-    from m3cs.optim import AdamW
-    from m3cs.pretrain import PretrainModel, init_teacher
+def test_collect_pretrain_state_names(trained):
+    from m3cs.pretrain import PretrainModel
 
-    mcfg = ModelConfig(c=16, heads=2, enc_depth=2, dec_depth=2, g=8, s=4, t=8,
-                       n_points=64)
-    model = PretrainModel(make_rng(0), mcfg)
-    teacher = init_teacher(model)
-    opt = AdamW(model.params(), total_steps=10)
-    state = collect_pretrain_state(model, teacher, opt)
-    assert any(k.startswith("student.encoder.") for k in state)
-    assert any(k.startswith("teacher.") for k in state)
-    assert any(k.startswith("opt.m.") for k in state)
-    assert "opt.step" in state
+    # a pretrain checkpoint holds the student alone: no EMA teacher, no AdamW state
+    tensors, cfg = load_checkpoint(trained["ckpt"])
+    model = PretrainModel(make_rng(0), load_config(overrides=cfg).model)
+    assert list(tensors) == [f"student.{k}" for k in model.params()]
+    assert list(collect_pretrain_state(model)) == list(tensors)
 
 
 # ------------------------------------------------------------------ CLI flows
@@ -248,6 +242,32 @@ def test_cli_fewshot(trained, tmp_path, capsys):
     accs = [float(l.split(",")[2]) for l in lines[1:3]]
     assert mean == pytest.approx(np.mean(accs), abs=1e-6)
     assert std == pytest.approx(np.std(accs), abs=1e-6)
+
+
+def test_cli_runs_from_checkpoint_with_teacher_and_optimizer_state(trained, tmp_path,
+                                                                   capsys):
+    # earlier pretrain checkpoints also held the EMA teacher and the AdamW state; the
+    # commands read the student alone, so such a file gives the same output
+    tensors, cfg = load_checkpoint(trained["ckpt"])
+    old = dict(tensors)
+    for k, v in tensors.items():
+        k = k[len("student."):]
+        if k.startswith("encoder."):
+            old[f"teacher.{k[len('encoder.'):]}"] = v + 1
+        old[f"opt.m.{k}"], old[f"opt.v.{k}"] = v - 1, v * v
+    old["opt.step"] = np.array([3.0], dtype=np.float32)
+    old_ckpt = str(tmp_path / "old.ckpt")
+    save_checkpoint(old_ckpt, old, cfg)
+    assert len(load_checkpoint(old_ckpt)[0]) > 3 * len(tensors)
+    runs = {"finetune": [*RUN_FLAGS["finetune"], *TINY_FLAGS],
+            "fewshot": [*FEWSHOT_FLAGS, *TINY_FLAGS], "inspect-codebook": []}
+    for command, flags in runs.items():
+        out_dir = ["--out-dir", str(tmp_path / command)] if flags else []
+        stdout = []
+        for ckpt in (trained["ckpt"], old_ckpt):
+            assert main([command, *out_dir, "--checkpoint", ckpt, *flags]) == 0
+            stdout.append(capsys.readouterr().out)
+        assert stdout[0] == stdout[1] and stdout[0]
 
 
 def test_cli_inspect_codebook(trained, capsys):

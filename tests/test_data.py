@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,27 @@ def test_dataset_without_classes_file(tmp_path):
     (tmp_path / "classes.txt").unlink()
     loaded = load_dataset(tmp_path)
     assert loaded.class_names == ["0", "1"]
+
+
+@pytest.mark.parametrize("rows, classes, error", [
+    (["a.xyz,-1"], True, "2: label '-1' is not an integer in [0, 2)"),
+    (["a.xyz,0", "a.xyz,2"], True, "3: label '2' is not an integer in [0, 2)"),
+    (["a.xyz,x"], True, "2: label 'x' is not an integer in [0, 2)"),
+    (["a.xyz"], True, "2: label '' is not an integer in [0, 2)"),
+    (["a.xyz,1", "a.xyz,1.5"], False, "3: label '1.5' is not an integer in [0, inf)"),
+    (["a.xyz,-1"], False, "2: label '-1' is not an integer in [0, inf)"),
+    ([], False, None),
+], ids=["negative", "past-classes", "word", "missing", "float", "negative-no-classes",
+        "empty-no-classes"])
+def test_dataset_manifest_labels(tmp_path, rows, classes, error):
+    save_xyz(tmp_path / "a.xyz", PointCloud(points=np.zeros((1, 3))))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(["path,label", *rows]) + "\n")
+    if classes:
+        (tmp_path / "classes.txt").write_text("sphere\ncube\n")
+    if error is None:  # loads empty, for the caller to refuse by split name
+        loaded = load_dataset(tmp_path)
+        assert loaded.items == [] and loaded.class_names == []
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{manifest}:{error}')}$"):
+        load_dataset(tmp_path)

@@ -367,6 +367,11 @@ def test_clouds_and_patches_are_read_only():
     dup = copy.deepcopy(cloud)
     assert dup._derived == {} and not dup.points.flags.writeable
     assert same_bits(dup.points, cloud.points) and cloud._derived
+    # equality and hashing go by identity, whatever the points
+    pair, twin = PointCloud(np.zeros((2, 3))), PointCloud(np.zeros((2, 3)))
+    assert pair == pair and pair != twin and dup != cloud
+    assert len({pair, twin, cloud, dup}) == 4
+    assert ps == ps and ps != group(dup, 4, 5) and len({ps, group(dup, 4, 5)}) == 2
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

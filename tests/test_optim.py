@@ -54,17 +54,3 @@ def test_lr_schedule_boundaries():
     mid = lr_at(55, 1.0, 100, warmup=10)
     assert mid == pytest.approx(0.5, abs=1e-6)
 
-
-def test_state_roundtrip():
-    p = make_param([1.0])
-    opt = AdamW({"p": p}, lr=0.1)
-    p.grad = np.ones(1, dtype=np.float32)
-    opt.step()
-    state = {k: v.copy() for k, v in opt.state_arrays().items()}
-
-    p2 = make_param([1.0])
-    opt2 = AdamW({"p": p2}, lr=0.1)
-    opt2.load_state_arrays(state)
-    assert opt2.step_count == 1
-    np.testing.assert_array_equal(opt2.m["p"], opt.m["p"])
-    np.testing.assert_array_equal(opt2.v["p"], opt.v["p"])

@@ -4,13 +4,14 @@
 
 Run it from a checkout's root with a relative out dir, so that printed and saved paths
 match across checkouts. CLI artifacts: each command's stdout, and each CSV, config.json and
-checkpoint under the out dir. Library artifacts, which touch no file: tiny pretrain_loop
-metrics with student and teacher weights for each decoder sharing and mask kind, and a
-finetune_loop and few_shot records from each of those students; desk FinetuneModel
-logits, then a second eval batch of the same clouds with its logits; the leaf gradients
-of one desk fine-tune backward; and one desk pretrain train_step: its record, the
-student and decoder weights after AdamW, the teacher after EMA, and the AdamW moments,
-which carry the gradients of both decoder passes.
+checkpoint under the out dir (a pretrain checkpoint holds only the student). Library
+artifacts, which touch no file: tiny pretrain_loop metrics with student and teacher
+weights for each decoder sharing and mask kind, and a finetune_loop and few_shot records
+from each of those students; desk FinetuneModel logits, then a second eval batch of the
+same clouds with its logits; the leaf gradients of one desk fine-tune backward; and one
+desk pretrain train_step: its record, the student and decoder weights after AdamW, the
+teacher after EMA, and the AdamW step count and moments (opt.step, opt.m.<name>,
+opt.v.<name>), which carry the gradients of both decoder passes and are saved nowhere.
 """
 
 import contextlib
@@ -135,7 +136,10 @@ def library():
     batch = assemble_batch(desk_set, 4, desk, make_rng(9, 1, 0))
     rec = train_step(model, teacher, opt, batch, 0, desk, pcfg, seed=9)
     digest("desk-pretrain-step", rec, arrays(model), arrays(teacher.encoder))
-    digest("desk-pretrain-moments", opt.state_arrays())
+    moments = {"opt.step": np.array([float(opt.step_count)], dtype=np.float32)}
+    for k in opt.params:
+        moments[f"opt.m.{k}"], moments[f"opt.v.{k}"] = opt.m[k], opt.v[k]
+    digest("desk-pretrain-moments", moments)
 
 
 if __name__ == "__main__":
