@@ -70,16 +70,12 @@ class EncoderStack(Module):
         return self(tokens, pos)[self.depth - 1]
 
 
-class SiameseDecoder(Module):
-    """One 4-block parameter set serving both decoding roles.
+class SiameseDecoder(EncoderStack):
+    """The encoder's block stack, one parameter set serving both decoding roles.
 
     Positional embeddings are re-added at every block input, so masked slots
     keep their location identity throughout decoding.
     """
-
-    def __init__(self, rng, c, heads, depth=4):
-        self.blocks = [Block(rng, c, heads) for _ in range(depth)]
-        self.ln_final = LayerNorm(c)
 
     def __call__(self, tokens, pos):
         x = tokens

@@ -72,11 +72,6 @@ def load_checkpoint(path):
     return tensors, config
 
 
-def collect_pretrain_state(model):
-    """The student's parameters: all that leaves pretraining."""
-    return {f"student.{k}": p.data for k, p in model.params().items()}
-
-
-def collect_finetune_state(model):
-    """Every model tensor, frozen ones (a frozen codebook) included."""
-    return {f"model.{k}": p.data for k, p in model.named_tensors().items()}
+def model_state(model, prefix):
+    """Every model tensor, frozen ones (a frozen codebook) included, named `<prefix><name>`."""
+    return {f"{prefix}{k}": p.data for k, p in model.named_tensors().items()}

@@ -7,8 +7,7 @@ import os
 import sys
 
 from . import autodiff as ad
-from .checkpoint import (collect_finetune_state, collect_pretrain_state,
-                         load_checkpoint, save_checkpoint)
+from .checkpoint import load_checkpoint, model_state, save_checkpoint
 from .codebook import temperature
 from .config import RunConfig, dump_config, given_settings, load_config, to_flat
 from .data import gen_shapes, load_dataset, save_dataset
@@ -123,7 +122,7 @@ def cmd_pretrain(cfg, given):
         train, cfg.model, cfg.pretrain, seed=cfg.seed,
         metrics_path=metrics_path, log_every=25)
     ckpt = cfg.checkpoint or os.path.join(cfg.out_dir, "pretrain.ckpt")
-    save_checkpoint(ckpt, collect_pretrain_state(model), to_flat(cfg))
+    save_checkpoint(ckpt, model_state(model, "student."), to_flat(cfg))
     last = metrics[-1]
     print(f"pretrained {cfg.pretrain.steps} steps: l_total={last['l_total']:.4f} "
           f"perplexity={last['perplexity']:.1f}")
@@ -160,7 +159,7 @@ def cmd_finetune(cfg, given):
         init_arrays=init_arrays, metrics_path=metrics_path, log_every=50)
     snapshot = {**to_flat(cfg), "n_classes": len(train.class_names)}
     out_ckpt = os.path.join(cfg.out_dir, "finetune.ckpt")
-    save_checkpoint(out_ckpt, collect_finetune_state(model), snapshot)
+    save_checkpoint(out_ckpt, model_state(model, "model."), snapshot)
     print(f"test accuracy: {test_acc:.4f}")
     print(f"checkpoint: {out_ckpt}")
     return 0

@@ -193,6 +193,9 @@ def load_dataset(dirpath, split="train"):
         if reader.fieldnames != ["path", "label"]:
             raise ValueError(f"{manifest}: expected header path,label")
         for row in reader:
+            if None in row:  # DictReader files a long row's extra fields under None
+                raise ValueError(f"{manifest}:{reader.line_num}: expected 2 fields (path,label), "
+                                 f"got {2 + len(row[None])}")
             label = (row["label"] or "").strip()  # None when the row is short
             if not label.isdecimal() or int(label) >= n_classes:
                 raise ValueError(f"{manifest}:{reader.line_num}: label {label!r} is not an "

@@ -77,9 +77,9 @@ class ClassifierHead(Module):
     def __call__(self, x, rng=None, training=False):
         rate = self.dropout if training else 0.0
         x = ad.gelu(self.fc1(x))
-        x = ad.dropout(x, rate, rng) if rate else x
+        x = ad.dropout(x, rate, rng)
         x = ad.gelu(self.fc2(x))
-        x = ad.dropout(x, rate, rng) if rate else x
+        x = ad.dropout(x, rate, rng)
         return self.fc3(x)
 
 

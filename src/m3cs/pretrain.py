@@ -138,11 +138,11 @@ def forward_targets(tokens, pos, mask, teacher):
         return ad.take(y, mask.masked_idx, axis=-2)
 
 
-def _scatter_by_position(vis_part, masked_part, mask):
-    """Reassemble a full-length sequence from visible and masked pieces."""
+def _decode(decoder, enc_vis, fill, pos, mask):
+    """Put the visible encodings and `fill` back in patch order, decode, return the masked rows."""
     perm = np.concatenate([mask.visible_idx, mask.masked_idx])
-    inv = np.argsort(perm)
-    return ad.take(ad.concat([vis_part, masked_part], axis=-2), inv, axis=-2)
+    seq = ad.take(ad.concat([enc_vis, fill], axis=-2), np.argsort(perm), axis=-2)
+    return ad.take(decoder(seq, pos), mask.masked_idx, axis=-2)
 
 
 def forward_student(model, tokens, pos, mask):
@@ -151,14 +151,11 @@ def forward_student(model, tokens, pos, mask):
     Returns (x, enc_vis): decoder outputs at masked positions and the encoded
     visible tokens (reused by the point branch).
     """
-    vis, msk = mask.visible_idx, mask.masked_idx
+    vis = mask.visible_idx
     enc_vis = model.encoder.final(ad.take(tokens, vis, axis=-2), ad.take(pos, vis, axis=-2))
-    lead = tokens.shape[:-2]
-    mask_tokens = ad.add(ad.reshape(model.mask_token, (1,) * (len(lead) + 1) + (-1,)),
-                         Tensor(np.zeros((*lead, len(msk), model.cfg.c))))
-    seq = _scatter_by_position(enc_vis, mask_tokens, mask)
-    dec = model.decoder(seq, pos)
-    return ad.take(dec, msk, axis=-2), enc_vis
+    zeros = np.zeros((*tokens.shape[:-2], len(mask.masked_idx), model.cfg.c))
+    x = _decode(model.decoder, enc_vis, ad.add(zeros, model.mask_token), pos, mask)
+    return x, enc_vis
 
 
 def align_loss(x, y, beta=1.0):
@@ -168,10 +165,8 @@ def align_loss(x, y, beta=1.0):
 def point_loss(model, x, enc_vis, pos, mask, groups, tau, rng=None, training=True):
     """Quantize masked representations, decode with visible context, Chamfer vs truth."""
     qout = model.quantizer(x, tau, rng=rng, training=training)
-    seq = _scatter_by_position(enc_vis, qout.mixed, mask)
-    decoder = model.decoder if model.cfg.siamese else model.point_decoder
-    f = decoder(seq, pos)
-    f_m = ad.take(f, mask.masked_idx, axis=-2)
+    decoder = getattr(model, "point_decoder", model.decoder)
+    f_m = _decode(decoder, enc_vis, qout.mixed, pos, mask)
     pred = model.point_head(f_m)
     s = model.cfg.s
     flat = (-1, s, 3)

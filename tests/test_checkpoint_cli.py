@@ -6,12 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from m3cs.checkpoint import (
-    collect_finetune_state,
-    collect_pretrain_state,
-    load_checkpoint,
-    save_checkpoint,
-)
+from m3cs.checkpoint import load_checkpoint, model_state, save_checkpoint
 from m3cs.cli import main
 from m3cs.config import (
     ModelConfig,
@@ -140,7 +135,7 @@ def test_collect_pretrain_state_names(trained):
     tensors, cfg = load_checkpoint(trained["ckpt"])
     model = PretrainModel(make_rng(0), load_config(overrides=cfg).model)
     assert list(tensors) == [f"student.{k}" for k in model.params()]
-    assert list(collect_pretrain_state(model)) == list(tensors)
+    assert list(model_state(model, "student.")) == list(tensors)
 
 
 # ------------------------------------------------------------------ CLI flows
@@ -620,7 +615,7 @@ def test_frozen_codebook_checkpoint_reload_gives_identical_logits(trained, tmp_p
     model, _, _ = finetune_loop(train, None, cfg.model, cfg.finetune, seed=cfg.seed,
                                 init_arrays=arrays)
     path = tmp_path / "frozen.ckpt"
-    save_checkpoint(path, collect_finetune_state(model),
+    save_checkpoint(path, model_state(model, "model."),
                     {**to_flat(cfg), "n_classes": len(train.class_names)})
     cfg.checkpoint = str(path)
     reloaded, saved = _load_finetuned(cfg, {})

@@ -244,11 +244,12 @@ def test_dataset_without_classes_file(tmp_path):
     (["a.xyz,0", "a.xyz,2"], True, "3: label '2' is not an integer in [0, 2)"),
     (["a.xyz,x"], True, "2: label 'x' is not an integer in [0, 2)"),
     (["a.xyz"], True, "2: label '' is not an integer in [0, 2)"),
+    (["a.xyz,0", "a.xyz,1,7"], True, "3: expected 2 fields (path,label), got 3"),
     (["a.xyz,1", "a.xyz,1.5"], False, "3: label '1.5' is not an integer in [0, inf)"),
     (["a.xyz,-1"], False, "2: label '-1' is not an integer in [0, inf)"),
     ([], False, None),
-], ids=["negative", "past-classes", "word", "missing", "float", "negative-no-classes",
-        "empty-no-classes"])
+], ids=["negative", "past-classes", "word", "missing", "extra-field", "float",
+        "negative-no-classes", "empty-no-classes"])
 def test_dataset_manifest_labels(tmp_path, rows, classes, error):
     save_xyz(tmp_path / "a.xyz", PointCloud(points=np.zeros((1, 3))))
     manifest = tmp_path / "manifest.csv"

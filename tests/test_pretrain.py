@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,25 @@ def test_point_loss_shapes_and_value():
     assert loss.shape == ()
     assert loss.item() >= 0
     assert qout.z.shape == (2, 4, 8)
+
+
+@pytest.mark.parametrize("siamese", [True, False])
+def test_point_loss_decoder_choice(siamese):
+    # the point branch alone reaches the shared decoder, or only the second one
+    # when the model was built without sharing
+    model = tiny_model(cfg=dataclasses.replace(TINY, siamese=siamese))
+    batch = tiny_batch()
+    mask = mask_random(8, 0.5, make_rng(9))
+    tokens, pos = model.embed(batch["groups"], batch["centers"])
+    with ad.no_grad():  # keeps the alignment pass's decoder off the tape
+        x, enc_vis = forward_student(model, tokens, pos, mask)
+    loss, _ = point_loss(model, x, enc_vis, pos, mask, batch["groups"],
+                         tau=0.5, rng=make_rng(10))
+    backward(loss)
+    used = model.decoder if siamese else model.point_decoder
+    assert all(p.grad is not None and np.any(p.grad) for p in used.params().values())
+    if not siamese:
+        assert all(p.grad is None for p in model.decoder.params().values())
 
 
 # ----------------------------------------------------------------------- EMA
