@@ -11,7 +11,6 @@ class SelfAttention(Module):
         if c % heads != 0:
             raise ValueError(f"width {c} not divisible by {heads} heads")
         self.heads = heads
-        self.head_dim = c // heads
         self.q = Linear(rng, c, c)
         self.k = Linear(rng, c, c)
         self.v = Linear(rng, c, c)
@@ -37,37 +36,24 @@ class Block(Module):
 
 
 class EncoderStack(Module):
-    """Stack of self-attention blocks; any hidden layer's output can be collected."""
+    """Stack of self-attention blocks; returns every block's output."""
 
     def __init__(self, rng, c, heads, depth):
         self.blocks = [Block(rng, c, heads) for _ in range(depth)]
         self.ln_final = LayerNorm(c)
 
-    @property
-    def depth(self):
-        return len(self.blocks)
+    def __call__(self, tokens, pos):
+        """One hidden state per block, in order; the last one is post-norm.
 
-    def __call__(self, tokens, pos, collect_layers=()):
-        """Returns {layer_id: hidden state}; the final layer is always included.
-
-        Positions are added once at the input. Layer id i is the output of
-        block i (0-based); the final layer's entry is post-norm.
+        Positions are added once at the input.
         """
-        for lid in collect_layers:
-            if not 0 <= lid < self.depth:
-                raise ValueError(f"invalid layer id {lid} for depth {self.depth}")
-        wanted = set(collect_layers) | {self.depth - 1}
         x = ad.add(tokens, pos)
-        out = {}
-        for i, block in enumerate(self.blocks):
+        hidden = []
+        for block in self.blocks:
             x = block(x)
-            if i in wanted:
-                out[i] = x
-        out[self.depth - 1] = self.ln_final(x)
-        return out
-
-    def final(self, tokens, pos):
-        return self(tokens, pos)[self.depth - 1]
+            hidden.append(x)
+        hidden[-1] = self.ln_final(x)
+        return hidden
 
 
 class SiameseDecoder(EncoderStack):

@@ -7,6 +7,7 @@ Layout (all integers little-endian):
 Round trips are bit-exact for float32 data; unknown versions are refused.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -19,20 +20,29 @@ VERSION = 1
 
 
 def save_checkpoint(path, tensors, config):
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr, dtype="<f4")
-            raw_name = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw_name)))
-            fh.write(raw_name)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes())
-        blob = json.dumps(config, sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
+    """Write to <path>.tmp, then rename it over path: a save that fails leaves the file
+    that was at path whole, and removes the temporary one."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(tensors)))
+            for name, arr in tensors.items():
+                arr = np.ascontiguousarray(arr, dtype="<f4")
+                raw_name = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(raw_name)))
+                fh.write(raw_name)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+                fh.write(arr.tobytes())
+            blob = json.dumps(config, sort_keys=True).encode("utf-8")
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read(fh, path, n):

@@ -131,15 +131,27 @@ def cmd_pretrain(cfg, given):
     return 0
 
 
+def _load_all(model, arrays, path, prefix):
+    """model with every one of its tensors loaded from arrays; a tensor that arrays lacks
+    is refused under its checkpoint name, prefix + name."""
+    missing = [k for k in model.named_tensors() if k not in arrays]
+    if missing:
+        raise ValueError(f"{path}: no tensor '{prefix}{missing[0]}'")
+    return model.load_params(arrays)
+
+
 def _initial_weights(command, cfg, given, layers):
     """The pretrain checkpoint's student arrays and cfg with its model settings, or
-    (None, cfg) under --from-scratch. Exactly one of the two flags must be given, and each
-    id in `layers` must name an encoder layer."""
+    (None, cfg) under --from-scratch. Exactly one of the two flags must be given, the
+    checkpoint must hold every tensor of a pretrain model of its settings, and each id in
+    `layers` must name an encoder layer."""
     if cfg.finetune.from_scratch == bool(cfg.checkpoint):
         raise ValueError(f"{command} needs exactly one of --checkpoint and --from-scratch")
     init_arrays = None
     if cfg.checkpoint:
         init_arrays, cfg, _ = _read_checkpoint(cfg, given, "student.", ("model",))
+        _load_all(PretrainModel(make_rng(cfg.seed, 0), cfg.model), init_arrays,
+                  cfg.checkpoint, "student.")
     depth = cfg.model.enc_depth
     for lid in layers:  # refused, where resolve_layers would wrap it round
         if not -depth <= lid < depth:
@@ -170,11 +182,7 @@ def _load_finetuned(cfg, given):
     arrays, cfg, n_classes = _read_checkpoint(cfg, given, "model.", _run_sections(cfg))
     model = FinetuneModel(make_rng(cfg.seed, 10), cfg.model, n_classes,
                           hidden=cfg.finetune.hidden, dropout=cfg.finetune.dropout)
-    missing = [k for k in model.named_tensors() if k not in arrays]
-    if missing:
-        raise ValueError(f"{cfg.checkpoint}: no tensor 'model.{missing[0]}'")
-    model.load_params(arrays)
-    return model, cfg
+    return _load_all(model, arrays, cfg.checkpoint, "model."), cfg
 
 
 def cmd_eval(cfg, given):
@@ -216,14 +224,14 @@ def cmd_inspect_codebook(cfg, given):
     if not cfg.checkpoint:
         raise FileNotFoundError("inspect-codebook needs --checkpoint (pretrain checkpoint)")
     arrays, cfg, _ = _read_checkpoint(cfg, given, "student.", _run_sections(cfg))
-    model = PretrainModel(make_rng(cfg.seed, 0), cfg.model)
-    model.load_params(arrays)
+    model = _load_all(PretrainModel(make_rng(cfg.seed, 0), cfg.model), arrays,
+                      cfg.checkpoint, "student.")
     test = _dataset(cfg, "test")
     groups, centers = _cloud_batch([c for c, _ in test.items[:8]], cfg.model, None,
                                    train=False)
     with ad.no_grad():
         tokens, pos = model.embed(groups, centers)
-        ids = model.quantizer.token_ids(model.encoder.final(tokens, pos))
+        ids = model.quantizer.token_ids(model.encoder(tokens, pos)[-1])
     writer = csv.writer(sys.stdout)
     writer.writerow(["x", "y", "z", "token_id"])
     for center, tid in zip(centers.reshape(-1, 3), ids.reshape(-1)):

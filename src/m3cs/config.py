@@ -1,5 +1,6 @@
 """Run configuration: dataclasses with desk-scale defaults, flat dotted-key JSON."""
 
+import contextlib
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -107,25 +108,30 @@ def to_flat(cfg):
     return flat
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+             tuple: "a list"}
+_ACCEPTS = {int: (int,), float: (int, float), str: (str,)}  # besides a string to parse
+
+
 def _coerce(key, default, value):
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        if str(value).lower() in ("true", "1", "yes"):
-            return True
-        if str(value).lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"config key '{key}': expected a boolean, got {value!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    if isinstance(default, tuple):
+    """value as default's type. A string is parsed and a list coerced item by item; any
+    other value that is not of that type (a bool or 1.5 for an integer, say) is refused."""
+    kind = type(default)
+    if kind is tuple:
         if isinstance(value, str):
             value = [x for x in value.replace(",", " ").split() if x]
-        elem = type(default[0]) if default else str
-        return tuple(elem(x) for x in value)
-    return str(value)
+        if isinstance(value, (list, tuple)):
+            return tuple(_coerce(key, default[0] if default else "", x) for x in value)
+    elif kind is bool:
+        if str(value).lower() in _BOOLS:
+            return _BOOLS[str(value).lower()]
+    elif isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return kind(value)
+    elif isinstance(value, _ACCEPTS[kind]) and not isinstance(value, bool):
+        return kind(value)
+    raise ValueError(f"config key '{key}': expected {_EXPECTED[kind]}, got {value!r}")
 
 
 def apply_flat(cfg, flat):
@@ -148,7 +154,10 @@ def given_settings(path=None, overrides=None, preset=None):
     given = dict(PAPER_SHAPE) if preset == "paper" else {}
     if path:
         with open(path) as fh:
-            given.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{path}: expected a JSON object")
+        given.update(loaded)
     given.update(overrides or {})
     return given
 

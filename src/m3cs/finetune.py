@@ -92,13 +92,12 @@ class FinetuneModel(Backbone):
         self.head = ClassifierHead(rng, 3 * mcfg.c, hidden, n_classes, dropout)
 
     def resolve_layers(self, layers):
-        return sorted({l % self.encoder.depth for l in layers})
+        return sorted({l % len(self.encoder.blocks) for l in layers})
 
     def forward(self, groups, centers, layers=(-1,), rng=None, training=False):
         tokens, pos = self.embed(groups, centers)
-        lids = self.resolve_layers(layers)
-        hidden = self.encoder(tokens, pos, collect_layers=lids)
-        x_layers = [hidden[l] for l in lids]
+        hidden = self.encoder(tokens, pos)
+        x_layers = [hidden[l] for l in self.resolve_layers(layers)]
         o = hta(x_layers, self.codebook.entries, self.vlad_w, self.vlad_b)
         return self.head(o, rng=rng, training=training)
 

@@ -133,7 +133,7 @@ def forward_targets(tokens, pos, mask, teacher):
     Output is a constant (no gradient is recorded).
     """
     with ad.no_grad():
-        h = teacher.encoder.final(tokens, pos)
+        h = teacher.encoder(tokens, pos)[-1]
         y = ad.layer_norm(h)
         return ad.take(y, mask.masked_idx, axis=-2)
 
@@ -152,7 +152,7 @@ def forward_student(model, tokens, pos, mask):
     visible tokens (reused by the point branch).
     """
     vis = mask.visible_idx
-    enc_vis = model.encoder.final(ad.take(tokens, vis, axis=-2), ad.take(pos, vis, axis=-2))
+    enc_vis = model.encoder(ad.take(tokens, vis, axis=-2), ad.take(pos, vis, axis=-2))[-1]
     zeros = np.zeros((*tokens.shape[:-2], len(mask.masked_idx), model.cfg.c))
     x = _decode(model.decoder, enc_vis, ad.add(zeros, model.mask_token), pos, mask)
     return x, enc_vis

@@ -23,23 +23,21 @@ def test_output_shape_matches_input(enc):
     assert out[2].shape == (6, 16)
 
 
-def test_collect_layers_single_entry():
-    enc12 = EncoderStack(make_rng(2), c=8, heads=2, depth=12)
+def test_encoder_returns_every_layer():
+    # one entry per block, each equal bit for bit to a block-by-block walk;
+    # only the last one is normed
+    enc = EncoderStack(make_rng(2), c=8, heads=2, depth=4)
     tokens, pos = toks(3, c=8)
-    out = enc12(tokens, pos, collect_layers={11})
-    assert set(out) == {11}
-
-
-def test_collect_layers_multiple(enc):
-    tokens, pos = toks(4)
-    out = enc(tokens, pos, collect_layers={0, 1})
-    assert set(out) == {0, 1, 2}
-
-
-def test_invalid_layer_id(enc):
-    tokens, pos = toks(5)
-    with pytest.raises(ValueError, match="layer id"):
-        enc(tokens, pos, collect_layers={3})
+    out = enc(tokens, pos)
+    x = ad.add(tokens, pos)
+    want = []
+    for block in enc.blocks:
+        x = block(x)
+        want.append(x.data)
+    want[-1] = enc.ln_final(x).data
+    assert len(out) == 4
+    for got, w in zip(out, want):
+        assert got.data.tobytes() == w.tobytes()
 
 
 def test_permutation_equivariance(enc):
@@ -123,7 +121,7 @@ def test_encoder_finite_difference_small():
         tokens, pos = toks(19, m=4, c=8)
         probe = Tensor(make_rng(22).normal(size=(4, 8)))
         picks = [enc.blocks[0].attn.q.w, enc.blocks[1].fc2.b, enc.ln_final.gamma]
-        gradcheck(lambda: ad.sum_reduce(ad.mul(enc.final(tokens, pos), probe)), picks, rtol=1e-4)
+        gradcheck(lambda: ad.sum_reduce(ad.mul(enc(tokens, pos)[-1], probe)), picks, rtol=1e-4)
 
 
 def test_decoder_readds_positions_every_block():

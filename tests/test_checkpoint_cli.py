@@ -13,6 +13,7 @@ from m3cs.config import (
     PAPER_SHAPE,
     RunConfig,
     apply_flat,
+    dump_config,
     load_config,
     to_flat,
 )
@@ -79,6 +80,50 @@ def test_config_file_plus_overrides(tmp_path):
     assert cfg.seed == 3
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"model.c": [16]}', "config key 'model.c': expected an integer, got [16]"),
+    ('{"model.c": null}', "config key 'model.c': expected an integer, got None"),
+    ('{"model.c": 1.5}', "config key 'model.c': expected an integer, got 1.5"),
+    ('{"model.c": true}', "config key 'model.c': expected an integer, got True"),
+    ('{"pretrain.steps": 1.5}', "config key 'pretrain.steps': expected an integer, got 1.5"),
+    ('{"pretrain.steps": true}',
+     "config key 'pretrain.steps': expected an integer, got True"),
+    ('{"pretrain.lr": false}', "config key 'pretrain.lr': expected a number, got False"),
+    ('{"finetune.layers": 5}', "config key 'finetune.layers': expected a list, got 5"),
+    ('{"finetune.layers": [1, 2.5]}',
+     "config key 'finetune.layers': expected an integer, got 2.5"),
+    ('{"out_dir": 3}', "config key 'out_dir': expected a string, got 3"),
+    ("[1, 2]", "{path}: expected a JSON object"),
+], ids=["c-list", "c-null", "c-float", "c-bool", "steps-float", "steps-bool", "lr-bool",
+        "layers-int", "layers-float-item", "out_dir-int", "top-level-list"])
+def test_cli_refuses_config_value_of_wrong_type(tmp_path, capsys, text, message):
+    # the config is read before any command runs, so eval needs no checkpoint here
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    rc = main(["eval", "--config", str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        f"m3cs eval: error: {message.format(path=path)}"]
+
+
+def test_cli_refuses_flag_of_wrong_type(capsys):
+    rc = main(["eval", "--model.c", "1.5"])
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "m3cs eval: error: config key 'model.c': expected an integer, got '1.5'"]
+
+
+@pytest.mark.parametrize("preset", ["desk", "paper"])
+def test_dumped_config_loads_back(tmp_path, preset):
+    cfg = load_config(preset=preset, overrides={
+        "finetune.layers": "0,-1", "model.siamese": "false", "pretrain.eta": 2,
+        "data.dir": "d", "data.families": "cube torus"})
+    path = tmp_path / "config.json"
+    dump_config(cfg, path)
+    assert load_config(str(path)) == cfg
+
+
 # --------------------------------------------------------------- checkpoint
 
 
@@ -98,6 +143,17 @@ def test_checkpoint_bit_exact_roundtrip(tmp_path):
     for k in tensors:
         assert loaded[k].dtype == np.float32
         assert loaded[k].tobytes() == np.asarray(tensors[k], dtype="<f4").tobytes()
+
+
+def test_checkpoint_failed_save_keeps_old_file(tmp_path):
+    path = tmp_path / "t.ckpt"
+    save_checkpoint(path, {"w": np.ones((2, 3), np.float32)}, {"seed": 1})
+    with pytest.raises(TypeError):  # the config is written last, after every tensor
+        save_checkpoint(path, {"w": np.zeros((2, 3), np.float32)}, {"seed": object()})
+    tensors, config = load_checkpoint(path)
+    assert config == {"seed": 1}
+    np.testing.assert_array_equal(tensors["w"], np.ones((2, 3), np.float32))
+    assert os.listdir(tmp_path) == ["t.ckpt"]
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -591,15 +647,32 @@ def test_cli_eval_corrupt_checkpoint(tmp_path, capsys, field, offset, fmt, value
     assert err == [f"m3cs eval: error: {path}: truncated at byte {len(raw)}"]
 
 
-def test_cli_eval_missing_tensor(trained, tmp_path, capsys):
-    tensors, config = load_checkpoint(os.path.join(trained["ft_dir"], "finetune.ckpt"))
-    del tensors["model.encoder.blocks.1.attn.q.w"]
+@pytest.mark.parametrize("command, kind, flags", [
+    ("eval", "finetune", []),
+    ("inspect-codebook", "pretrain", []),
+    ("finetune", "pretrain", RUN_FLAGS["finetune"]),
+    ("fewshot", "pretrain", FEWSHOT_FLAGS),
+], ids=["eval", "inspect-codebook", "finetune", "fewshot"])
+def test_cli_eval_missing_tensor(trained, tmp_path, capsys, command, kind, flags):
+    # a checkpoint that lacks a tensor of its model is refused, not filled in at random
+    ckpt = trained["ckpt"] if kind == "pretrain" else os.path.join(trained["ft_dir"],
+                                                                   "finetune.ckpt")
+    name = {"pretrain": "student.encoder.blocks.0.attn.q.w",
+            "finetune": "model.encoder.blocks.1.attn.q.w"}[kind]
+    tensors, config = load_checkpoint(ckpt)
+    del tensors[name]
     path = tmp_path / "partial.ckpt"
     save_checkpoint(path, tensors, config)
-    rc = main(["eval", "--checkpoint", str(path)])
+    out_dir = tmp_path / "o"
+    capsys.readouterr()
+    rc = main([command, "--checkpoint", str(path), "--out-dir", str(out_dir), *flags,
+               *TINY_FLAGS])
     assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"m3cs eval: error: {path}: no tensor 'model.encoder.blocks.1.attn.q.w'"]
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        f"m3cs {command}: error: {path}: no tensor '{name}'"]
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_frozen_codebook_checkpoint_reload_gives_identical_logits(trained, tmp_path):

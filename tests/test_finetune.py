@@ -196,6 +196,16 @@ def test_resolve_layers():
     assert model.resolve_layers((0, -1)) == [0, 1]
 
 
+def test_forward_wraps_layer_ids_round_the_encoder():
+    # the bench's tiny size runs the desk ids (1, 3, 5) on a depth-2 encoder
+    model = FinetuneModel(make_rng(11), TINY, n_classes=2)
+    rng = make_rng(12)
+    groups = rng.normal(scale=0.1, size=(2, 8, 4, 3))
+    centers = rng.normal(size=(2, 8, 3))
+    wrapped = model.forward(groups, centers, layers=(1, 3, 5)).data
+    assert wrapped.tobytes() == model.forward(groups, centers, layers=(1,)).data.tobytes()
+
+
 def test_dropout_only_in_training():
     model = FinetuneModel(make_rng(12), TINY, n_classes=3)
     rng = make_rng(13)

@@ -7,11 +7,13 @@ match across checkouts. CLI artifacts: each command's stdout, and each CSV, conf
 checkpoint under the out dir (a pretrain checkpoint holds only the student). Library
 artifacts, which touch no file: tiny pretrain_loop metrics with student and teacher
 weights for each decoder sharing and mask kind, and a finetune_loop and few_shot records
-from each of those students; desk FinetuneModel logits, then a second eval batch of the
-same clouds with its logits; the leaf gradients of one desk fine-tune backward; and one
-desk pretrain train_step: its record, the student and decoder weights after AdamW, the
-teacher after EMA, and the AdamW step count and moments (opt.step, opt.m.<name>,
-opt.v.<name>), which carry the gradients of both decoder passes and are saved nowhere.
+from each of those students; a finetune_loop from scratch whose layer ids (0, -1, 2) wrap
+round and repeat on the depth-2 encoder; desk FinetuneModel logits, then a second eval
+batch of the same clouds with its logits; the leaf gradients of one desk fine-tune
+backward; and one desk pretrain train_step: its record, the student and decoder weights
+after AdamW, the teacher after EMA, and the AdamW step count and moments (opt.step,
+opt.m.<name>, opt.v.<name>), which carry the gradients of both decoder passes and are
+saved nowhere.
 """
 
 import contextlib
@@ -110,6 +112,9 @@ def library():
             digest(f"finetune_loop-{tag}", history, acc, arrays(ft))
             digest(f"few_shot-{tag}", few_shot(test, 2, 1, 2, mcfg, fcfg, seed=9, query=5,
                                                init_arrays=arrays(model)))
+    wrapped = dataclasses.replace(fcfg, layers=(0, -1, 2))  # resolves to [0, 1]
+    ft, history, acc = finetune_loop(train, test, tiny, wrapped, seed=9)
+    digest("finetune_loop-wrapped-layers", history, acc, arrays(ft))
 
     desk, layers = ModelConfig(), FinetuneConfig().layers
     desk_set = gen_shapes(families, 1, 1024, make_rng(82), "train")
