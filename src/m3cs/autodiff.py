@@ -2,8 +2,9 @@
 
 Tensors wrap flat numpy storage. Every primitive records itself on a
 module-level graph (tape) when gradients are enabled and any input requires
-them; `backward` walks the tape once in reverse and deposits gradients on the
-leaves. Training runs in float32, verification in float64 (see `precision`).
+them; `backward` walks the tape once in reverse, popping each node as it goes,
+and deposits gradients on the leaves. Training runs in float32, verification in
+float64 (see `precision`).
 
 Some primitives work in place, or block by block, to spare full-size
 temporaries. They write only into arrays they allocated themselves, never
@@ -12,13 +13,39 @@ still reads. Each step is the numpy operation of the plain formula, in its
 order, so results are bit-identical to it.
 """
 
+import ctypes
 import math
+import sys
 from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
 
 _state = SimpleNamespace(dtype=np.float32, grad_enabled=True, graph=[])
+
+
+def _keep_freed_heap():
+    """Fix glibc malloc's thresholds at the ceiling its own dynamic rule can reach.
+
+    Each training step frees tens of MB of activations and gradients, and the
+    next step allocates as much again. glibc sets its trim threshold to twice
+    the largest array it has unmapped so far, a few MB here, so the heap top
+    that a step frees would go back to the OS, and the next step would fault
+    it in again page by page. Fixed, arrays under 32 MB come from the heap and
+    up to 64 MB of free heap top is kept. Elsewhere than Linux this does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 @contextmanager
@@ -109,7 +136,9 @@ def clear_graph():
 def backward(loss):
     """Accumulate gradients of a scalar loss onto all requires_grad leaves.
 
-    The tape is consumed: after this call the graph is empty.
+    The tape is consumed as it is walked: each node is popped when the walk
+    reaches it, so what only it holds (its output, the arrays its VJP reads) is
+    freed before the next VJP runs. After this call the graph is empty.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {list(loss.shape)}")
@@ -117,7 +146,9 @@ def backward(loss):
         raise RuntimeError("backward called with an empty graph")
     # id -> (tensor, gradient); a node's entry is complete when the walk reaches it
     grads = {id(loss): (loss, np.ones_like(loss.data))}
-    for node in reversed(_state.graph):
+    graph = _state.graph
+    while graph:
+        node = graph.pop()
         entry = grads.pop(id(node.out), None)
         if entry is None:
             continue
@@ -131,7 +162,6 @@ def backward(loss):
     grads.pop(id(loss), None)
     for t, g in grads.values():
         t.grad = g if t.grad is None else t.grad + g
-    _state.graph.clear()
 
 
 def _unbroadcast(g, shape):
@@ -205,7 +235,11 @@ def linear(x, w, b):
 
     The forward pass is one 2-D GEMM over x's folded leading dims. The VJP is
     the arithmetic of add(matmul(x, w), b), batched as there: folding the
-    weight-gradient GEMM or the bias sum would reorder float sums.
+    weight-gradient GEMM or the bias sum would reorder float sums. For an x of
+    4 or more dims the per-matrix weight-gradient partials of one leading slice
+    at a time are added into one accumulator, in the order in which summing
+    the batched partials over axis 0 adds them, so no full-size batch of
+    partials is built.
     """
     x = as_tensor(x)
     k, n = w.shape
@@ -221,12 +255,22 @@ def linear(x, w, b):
             gx = np.matmul(g, w.data.T)
         if w.requires_grad:
             gw = (np.multiply.outer(x.data, g) if x.ndim == 1 else
-                  _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape))
+                  _unbroadcast(_weight_grad(x.data, g), w.shape))
         if b.requires_grad:
             gb = _unbroadcast(g, b.shape)
         return gx, gw, gb
 
     return _record(out, (x, w, b), vjp)
+
+
+def _weight_grad(x, g):
+    """x^T g per trailing matrix, summed over x's first axis when x has 4 or more dims."""
+    if x.ndim < 4:
+        return np.matmul(np.swapaxes(x, -1, -2), g)
+    acc = np.matmul(np.swapaxes(x[0], -1, -2), g[0])
+    for xs, gs in zip(x[1:], g[1:]):
+        acc += np.matmul(np.swapaxes(xs, -1, -2), gs)
+    return acc
 
 
 def swap_axes(a, ax1, ax2):
@@ -248,22 +292,46 @@ def concat(tensors, axis=0):
 
 
 def take(a, idx, axis=0):
-    """Index-select rows along an axis; gradient scatters (duplicates accumulate)."""
+    """Index-select rows along an axis; gradient scatters (duplicates accumulate).
+
+    Without repeated positions in idx the scatter is one fancy-index add, which
+    adds each gradient row to zero as np.add.at does, and as often.
+    """
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(np.take(a.data, idx, axis=axis))
 
     def vjp(g):
         ga = np.zeros_like(a.data)
-        np.add.at(np.moveaxis(ga, axis, 0), idx, np.moveaxis(g, axis, 0))
+        view, rows = np.moveaxis(ga, axis, 0), np.moveaxis(g, axis, 0)
+        # -1 and n - 1 name one position, so repeats are counted modulo n
+        if idx.size < 2 or np.unique(idx % a.shape[axis]).size == idx.size:
+            view[idx] += rows
+        else:
+            np.add.at(view, idx, rows)
         return (ga,)
 
     return _record(out, (a,), vjp)
 
 
+def _row_max(x):
+    """x.max(axis=-1, keepdims=True), by halving the last axis with np.maximum.
+
+    A max is exact, so any pairing gives its value; NaN wins as in x.max.
+    """
+    m = x
+    while m.shape[-1] > 1:
+        h = m.shape[-1] // 2
+        half = np.maximum(m[..., :h], m[..., h:2 * h])
+        if m.shape[-1] % 2:
+            np.maximum(half[..., :1], m[..., 2 * h:], out=half[..., :1])
+        m = half
+    return m
+
+
 def _softmax(x, out=None):
     """Softmax over the last axis of x, into out (a new array by default; x itself
     when the caller owns x)."""
-    z = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    z = np.subtract(x, _row_max(x), out=out)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
@@ -414,13 +482,30 @@ def gelu(a):
     return _record(Tensor(y), (a,), vjp)
 
 
+def _first_max_index(x, m, axis):
+    """x.argmax(axis) with the reduced axis kept, for m = x.max(axis).
+
+    The first maximal index is S - max((x == m) * [S, S-1, ..., 1]), worked in
+    uint8 on one bool-sized buffer. argmax serves where that cannot hold S, or
+    where m has a NaN, which equals nothing.
+    """
+    s = x.shape[axis]
+    if s > 255 or np.isnan(m).any():
+        return np.expand_dims(x.argmax(axis=axis), axis)
+    rank = np.arange(s, 0, -1, dtype=np.uint8).reshape([s if ax == axis % x.ndim else 1
+                                                       for ax in range(x.ndim)])
+    hit = (x == np.expand_dims(m, axis)).view(np.uint8)
+    hit *= rank
+    return s - hit.max(axis=axis, keepdims=True)
+
+
 def max_reduce(a, axis):
     x = a.data
     out = Tensor(x.max(axis=axis))
 
     def vjp(g):
-        # argmax (first index on ties) only when a gradient is asked for
-        arg = np.expand_dims(x.argmax(axis=axis), axis)
+        # the first index on ties, found only when a gradient is asked for
+        arg = _first_max_index(x, out.data, axis)
         ga = np.zeros_like(x)
         np.put_along_axis(ga, arg, np.expand_dims(g, axis), axis=axis)
         return (ga,)

@@ -144,7 +144,7 @@ def _initial_weights(command, cfg, given, layers):
     """The pretrain checkpoint's student arrays and cfg with its model settings, or
     (None, cfg) under --from-scratch. Exactly one of the two flags must be given, the
     checkpoint must hold every tensor of a pretrain model of its settings, and each id in
-    `layers` must name an encoder layer."""
+    `layers` must name an encoder layer, and there must be at least one."""
     if cfg.finetune.from_scratch == bool(cfg.checkpoint):
         raise ValueError(f"{command} needs exactly one of --checkpoint and --from-scratch")
     init_arrays = None
@@ -153,6 +153,8 @@ def _initial_weights(command, cfg, given, layers):
         _load_all(PretrainModel(make_rng(cfg.seed, 0), cfg.model), init_arrays,
                   cfg.checkpoint, "student.")
     depth = cfg.model.enc_depth
+    if not layers:
+        raise ValueError(f"{command} needs at least one encoder layer id")
     for lid in layers:  # refused, where resolve_layers would wrap it round
         if not -depth <= lid < depth:
             raise ValueError(f"layer id {lid} is outside [-{depth}, {depth}) "

@@ -49,8 +49,21 @@ class AdamW:
                 raise ShapeError(
                     f"optimizer: grad shape {list(g.shape)} != param shape "
                     f"{list(p.data.shape)} for '{name}'")
-            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = m / (1 - b1**t)
-            vhat = v / (1 - b2**t)
-            p.data -= lr * (mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p.data)
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and
+            # p -= lr (mhat / (sqrt(vhat) + eps) + wd p), each step in place and in
+            # the formula's order, so the results are its bits
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            tmp = np.multiply(1 - b2, g, out=np.empty_like(v))
+            tmp *= g
+            v += tmp
+            mhat = np.divide(m, 1 - b1**t, out=np.empty_like(m))
+            np.divide(v, 1 - b2**t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            mhat /= tmp
+            mhat += np.multiply(self.weight_decay, p.data, out=tmp)
+            mhat *= lr
+            p.data -= mhat

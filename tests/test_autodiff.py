@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -562,3 +564,109 @@ def test_attention_gradcheck_random_shape(lead, m, heads, d, seed):
 def test_layer_norm_affine_gradcheck_random_shape(lead, n, seed):
     # gamma and beta vary the loss, so sum(out ** 2) needs no extra weight
     _check_fd(ad.layer_norm, [(*lead, n), (n,), (n,)], seed)
+
+
+# ------------------------------------------------ lean backward and its VJP kernels
+
+
+def test_backward_frees_each_node_once_walked():
+    # recorded first, so walked last: by then every later node's output and the
+    # arrays its VJP held must be gone
+    x = rand(4, 6, seed=50)
+    refs = []
+
+    def last_vjp(g):
+        assert refs and all(r() is None for r in refs)
+        return (g,)
+
+    h = ad._record(Tensor(x.data.copy()), (x,), last_vjp)
+    y = ad.gelu(h)
+    z = ad.row_softmax(ad.mul(y, y))
+    refs += [weakref.ref(y.data), weakref.ref(z.data)]
+    loss = ad.sum_reduce(ad.max_reduce(z, axis=0))
+    del y, z
+    backward(loss)
+    assert x.grad is not None and ad.graph_size() == 0
+
+
+def _argmax_oracle(x, axis, g):
+    ga = np.zeros_like(x)
+    np.put_along_axis(ga, np.expand_dims(x.argmax(axis=axis), axis),
+                      np.expand_dims(g, axis), axis=axis)
+    return ga
+
+
+def _tie_heavy(shape, seed):
+    """Values from {-1, -0.0, 0, 1}, with a repeated row and a constant column."""
+    rng = make_rng(seed)
+    x = rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape)
+    x[1] = x[0]
+    x[..., 0] = 1.0
+    return x
+
+
+@pytest.mark.parametrize("shape", [(6, 5, 4), (3, 300, 2)], ids=["small", "over-255"])
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+def test_max_reduce_vjp_bitwise_equals_argmax(shape, nan):
+    x = _tie_heavy(shape, 51).astype(np.float32)
+    if nan:
+        x[2, 1, 1] = np.nan  # one NaN, so one max per axis is NaN
+        x[0, 0, 1] = np.nan  # and a column with two, the first of which takes the gradient
+    for axis in range(-len(shape), len(shape)):
+        a = Tensor(x, requires_grad=True)
+        out = ad.max_reduce(a, axis)
+        g = make_rng(52).normal(size=out.shape).astype(np.float32)
+        (ga,) = ad._state.graph[-1].vjp(g)
+        ad.clear_graph()
+        ref = _argmax_oracle(x, axis, g)
+        assert ga.dtype == ref.dtype and np.array_equal(ga, ref)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("xshape", [(4, 5, 6, 8), (3, 2, 4, 5, 8)], ids=["4d", "5d"])
+def test_linear_slice_weight_grad_bitwise_equals_batched(xshape, dtype):
+    rng = make_rng(53)
+    arrays = [rng.normal(size=xshape), rng.normal(size=(8, 16)), rng.normal(size=(16,))]
+    grad_out = rng.normal(size=(*xshape[:-1], 16))
+    with precision(dtype):
+        new = _run_graph(ad.linear, arrays, grad_out)
+        old = _run_graph(_matmul_add, arrays, grad_out)
+    _assert_bitwise(new, old, dtype)
+
+
+@pytest.mark.parametrize("idx", [[3, 0, 2], [3, -1, 0], [1, 1, 0, 1]],
+                         ids=["distinct", "negative-alias", "repeats"])
+@pytest.mark.parametrize("axis", [0, -2])
+def test_take_vjp_bitwise_equals_add_at(idx, axis):
+    shape = (4, 4, 3)
+    a = Tensor(make_rng(54).normal(size=shape), requires_grad=True)
+    out = ad.take(a, idx, axis=axis)
+    g = make_rng(55).normal(size=out.shape).astype(np.float32)
+    g[g < -0.5] = -0.0
+    (ga,) = ad._state.graph[-1].vjp(g)
+    ref = np.zeros(shape, np.float32)
+    np.add.at(np.moveaxis(ref, axis, 0), np.asarray(idx), np.moveaxis(g, axis, 0))
+    assert np.array_equal(np.signbit(ga), np.signbit(ref)) and np.array_equal(ga, ref)
+
+
+def _old_softmax(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32, 33])
+def test_row_max_and_softmax_equal_the_reduction(n):
+    x = make_rng(56).normal(size=(6, n)).astype(np.float32) * 4
+    x[1] = np.inf
+    x[2, -1] = -np.inf
+    x[3] = -np.inf
+    x[4, n // 2] = np.nan
+    x[5, 0] = -0.0
+    np.testing.assert_array_equal(ad._row_max(x), x.max(axis=-1, keepdims=True))
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_array_equal(ad._softmax(x), _old_softmax(x))
+        owned = x.copy()
+        assert ad._softmax(owned, out=owned) is owned
+        np.testing.assert_array_equal(owned, _old_softmax(x))

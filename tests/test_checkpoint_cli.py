@@ -452,6 +452,19 @@ def test_cli_refuses_layer_outside_encoder(trained, tmp_path, capsys, command, f
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command, flag", [("finetune", "--finetune.layers"),
+                                           ("fewshot", "--fewshot.layers")])
+def test_cli_refuses_empty_layer_list(trained, tmp_path, capsys, command, flag):
+    out_dir = tmp_path / "o"
+    rc = main([command, "--out-dir", str(out_dir), "--checkpoint", trained["ckpt"],
+               *TINY_FLAGS, flag, ""])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        f"m3cs {command}: error: {command} needs at least one encoder layer id"]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command, kind, flags", [
     ("pretrain", None, ["--steps", "1", "--batch-size", "2"]),
     ("finetune", "pretrain", ["--steps", "1", "--batch-size", "2"]),

@@ -1,7 +1,11 @@
 import copy
 import csv
 import dataclasses
+import os
+import platform
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -437,3 +441,76 @@ def test_few_shot_separable_problem():
     _, mean, _ = few_shot(ds, way=2, shot=2, runs=2, mcfg=TINY, fcfg=fcfg,
                           seed=0, query=8)
     assert mean > 0.6
+
+
+# desk FinetuneModel logits of four clouds, then the leaf gradients of one fine-tune
+# backward on them, hashed together
+_DESK_HASH = """
+import hashlib
+import m3cs.autodiff as ad
+from m3cs.config import FinetuneConfig, ModelConfig
+from m3cs.data import gen_shapes
+from m3cs.finetune import FinetuneModel, _cloud_batch, cross_entropy
+from m3cs.rng import make_rng
+
+desk, layers = ModelConfig(), FinetuneConfig().layers
+items = gen_shapes(("sphere", "cube", "torus", "cylinder"), 1, 1024, make_rng(82), "train").items
+clouds, labels = [c for c, _ in items], [l for _, l in items]
+model = FinetuneModel(make_rng(9, 10), desk, n_classes=4)
+h = hashlib.sha256()
+with ad.no_grad():
+    groups, centers = _cloud_batch(clouds, desk, None, train=False)
+    h.update(model.forward(groups, centers, layers=layers).data.tobytes())
+rng = make_rng(9, 11, 0)
+groups, centers = _cloud_batch(clouds, desk, rng, train=True)
+ad.backward(cross_entropy(model.forward(groups, centers, layers=layers, rng=rng,
+                                        training=True), labels))
+for name, t in sorted(model.named_tensors().items()):
+    h.update(name.encode())
+    h.update(t.grad.tobytes())
+print(h.hexdigest())
+"""
+
+
+def _fresh_process(script, **env):
+    """The stdout of `script` run in a new interpreter that imports m3cs from this checkout."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_desk_logits_and_gradients_do_not_depend_on_blas_threads():
+    one, two = (_fresh_process(_DESK_HASH, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert len(one) == 64 and one == two
+
+
+# minor page faults per desk fine-tune step, in a fresh process after two warm-up steps
+_STEP_FAULTS = """
+import resource
+from m3cs.config import FinetuneConfig, ModelConfig
+from m3cs.data import gen_shapes
+from m3cs.finetune import FinetuneModel, finetune_step, trainable_params
+from m3cs.optim import AdamW
+from m3cs.rng import make_rng
+
+mcfg, fcfg = ModelConfig(), FinetuneConfig()
+items = gen_shapes(("sphere", "cube", "torus", "cylinder"), 4, 1024, make_rng(52)).items
+clouds, labels = [c for c, _ in items], [l for _, l in items]
+model = FinetuneModel(make_rng(0, 10), mcfg, 4, hidden=fcfg.hidden, dropout=fcfg.dropout)
+opt = AdamW(trainable_params(model, fcfg), lr=fcfg.lr, total_steps=100, warmup=5)
+for i in range(5):
+    if i == 2:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    finetune_step(model, opt, clouds, labels, mcfg, fcfg, make_rng(0, 11, i))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 3)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+def test_desk_finetune_step_reuses_the_heap_of_the_last():
+    # a heap top trimmed after each step comes back as ~3k faults in the next
+    assert float(_fresh_process(_STEP_FAULTS)) < 300

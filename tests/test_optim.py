@@ -5,6 +5,7 @@ import pytest
 
 from m3cs.autodiff import ShapeError, Tensor
 from m3cs.optim import AdamW, lr_at
+from m3cs.rng import make_rng
 
 
 def make_param(value):
@@ -54,3 +55,32 @@ def test_lr_schedule_boundaries():
     mid = lr_at(55, 1.0, 100, warmup=10)
     assert mid == pytest.approx(0.5, abs=1e-6)
 
+
+
+def test_step_bitwise_equals_textbook_formula():
+    # 40 float32 steps through warmup and cosine decay, one step without a gradient
+    b1, b2, eps, wd, base_lr = 0.9, 0.999, 1e-8, 0.05, 1e-3
+    rng = make_rng(3)
+    shapes = {"w": (5, 7), "b": (7,), "s": ()}
+    params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    ref = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(a) for k, a in ref.items()}
+    v = {k: np.zeros_like(a) for k, a in ref.items()}
+    opt = AdamW(params, lr=base_lr, betas=(b1, b2), eps=eps, weight_decay=wd,
+                total_steps=40, warmup=6)
+    for t in range(1, 41):
+        grads = {k: (None if t == 7 and k == "b" else
+                     rng.normal(size=s).astype(np.float32)) for k, s in shapes.items()}
+        for k, p in params.items():
+            p.grad = grads[k]
+        opt.step()
+        lr = lr_at(t - 1, base_lr, 40, 6)
+        for k in ref:
+            g = np.zeros_like(ref[k]) if grads[k] is None else grads[k]
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            mhat, vhat = m[k] / (1 - b1**t), v[k] / (1 - b2**t)
+            ref[k] = ref[k] - lr * (mhat / (np.sqrt(vhat) + eps) + wd * ref[k])
+    for k, p in params.items():
+        for got, want in ((p.data, ref[k]), (opt.m[k], m[k]), (opt.v[k], v[k])):
+            assert got.dtype == np.float32 and np.array_equal(got, want)
