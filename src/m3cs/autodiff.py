@@ -1,10 +1,15 @@
 """Minimal dense-tensor math with reverse-mode differentiation.
 
-Tensors wrap flat numpy storage. Every primitive records itself on a
+Tensors wrap flat numpy storage. Every primitive records a node on a
 module-level graph (tape) when gradients are enabled and any input requires
-them; `backward` walks the tape once in reverse, popping each node as it goes,
-and deposits gradients on the leaves. Training runs in float32, verification in
-float64 (see `precision`).
+them. The tape holds nodes, never tensors. A node keeps its VJP and, per
+input, a key: the node that made that input, the leaf tensor itself, or None
+where no gradient is asked for. A tensor links to the node that made it
+through its `node` slot. Each VJP closure keeps shapes, flags and only the
+arrays it reads, so an activation that no VJP reads is freed as soon as the
+forward pass drops it. `backward` walks the tape once in reverse, popping and
+clearing each node as it goes, and deposits gradients on the leaves. Training
+runs in float32, verification in float64 (see `precision`).
 
 Some primitives work in place, or block by block, to spare full-size
 temporaries. They write only into arrays they allocated themselves, never
@@ -74,12 +79,13 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=_state.dtype)
         self.requires_grad = requires_grad
         self.grad = None
+        self.node = None  # the tape node that made this tensor, if any
 
     @property
     def shape(self):
@@ -105,12 +111,29 @@ def as_tensor(x):
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "vjp")
+    """One recorded primitive: its VJP and, per input, the key of `_key`."""
 
-    def __init__(self, out, inputs, vjp):
-        self.out = out
+    __slots__ = ("inputs", "vjp")
+
+    def __init__(self, inputs, vjp):
         self.inputs = inputs
         self.vjp = vjp
+
+
+def _key(t):
+    """Where backward files t's gradient: its node, t itself for a leaf, or None.
+
+    A tensor whose node was consumed by `backward` or dropped by `clear_graph`
+    is a constant, as is one that requires no gradient.
+    """
+    if t.node is None:
+        return t if t.requires_grad else None
+    return t.node if t.node.vjp is not None else None
+
+
+def _wants(t):
+    """Whether backward would file a gradient for t, were a primitive on it taped."""
+    return _key(t) is not None
 
 
 def _taped(inputs):
@@ -121,7 +144,8 @@ def _taped(inputs):
 def _record(out, inputs, vjp):
     if _taped(inputs):
         out.requires_grad = True
-        _state.graph.append(_Node(out, inputs, vjp))
+        out.node = _Node(tuple(_key(t) for t in inputs), vjp)
+        _state.graph.append(out.node)
     return out
 
 
@@ -129,39 +153,52 @@ def graph_size():
     return len(_state.graph)
 
 
+def _release(node):
+    node.inputs = node.vjp = None
+
+
 def clear_graph():
+    """Drop the tape; the tensors it made become constants to any later graph."""
+    for node in _state.graph:
+        _release(node)
     _state.graph.clear()
 
 
 def backward(loss):
     """Accumulate gradients of a scalar loss onto all requires_grad leaves.
 
-    The tape is consumed as it is walked: each node is popped when the walk
-    reaches it, so what only it holds (its output, the arrays its VJP reads) is
-    freed before the next VJP runs. After this call the graph is empty.
+    The tape is consumed as it is walked: each node is popped and cleared when
+    the walk reaches it, so the arrays its VJP reads are freed before the next
+    VJP runs, and a tensor kept past this call pins nothing upstream. Gradients
+    are filed under the node that made a tensor, and a leaf's under the tensor.
+    After this call the graph is empty. A tensor made on a tape that this call
+    or `clear_graph` consumed acts as a constant in any later graph: it gets no
+    `.grad`, and nothing flows through it.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {list(loss.shape)}")
     if not _state.graph:
         raise RuntimeError("backward called with an empty graph")
-    # id -> (tensor, gradient); a node's entry is complete when the walk reaches it
-    grads = {id(loss): (loss, np.ones_like(loss.data))}
+    # a node's gradient is complete when the walk reaches it
+    grads = {loss.node: np.ones_like(loss.data)}
     graph = _state.graph
     while graph:
         node = graph.pop()
-        entry = grads.pop(id(node.out), None)
-        if entry is None:
+        inputs, vjp = node.inputs, node.vjp
+        _release(node)
+        g = grads.pop(node, None)
+        if g is None:
             continue
-        for inp, gi in zip(node.inputs, node.vjp(entry[1])):
-            if gi is None or not inp.requires_grad:
+        for key, gi in zip(inputs, vjp(g)):
+            if key is None or gi is None:
                 continue
-            if id(inp) in grads:
-                gi = grads[id(inp)][1] + gi
-            grads[id(inp)] = (inp, gi)
-    # what is left belongs to leaves, bar a loss that no tape node produced
-    grads.pop(id(loss), None)
-    for t, g in grads.values():
-        t.grad = g if t.grad is None else t.grad + g
+            if key in grads:
+                gi = grads[key] + gi
+            grads[key] = gi
+    # what is left belongs to leaves, bar the entry of a loss that no tape node produced
+    for key, g in grads.items():
+        if isinstance(key, Tensor):
+            key.grad = g if key.grad is None else key.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -188,25 +225,32 @@ def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast("add", a, b)
     out = Tensor(a.data + b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast("sub", a, b)
     out = Tensor(a.data - b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast("mul", a, b)
     out = Tensor(a.data * b.data)
-    return _record(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+    # each side's gradient reads the other side's data, kept only where it is asked for
+    sa, sb = a.shape, b.shape
+    a_data = a.data if _wants(b) else None
+    b_data = b.data if _wants(a) else None
+
+    def vjp(g):
+        return (None if b_data is None else _unbroadcast(g * b_data, sa),
+                None if a_data is None else _unbroadcast(g * a_data, sb))
+
+    return _record(out, (a, b), vjp)
 
 
 def scalar_mul(a, s):
@@ -221,11 +265,17 @@ def matmul(a, b):
         raise ShapeError(f"matmul: needs >=2-D operands with equal inner dims, "
                          f"{list(a.shape)} @ {list(b.shape)}")
     out = Tensor(np.matmul(a.data, b.data))
+    sa, sb = a.shape, b.shape
+    a_data = a.data if _wants(b) else None
+    b_data = b.data if _wants(a) else None
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if b_data is not None:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), sa)
+        if a_data is not None:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), sb)
+        return ga, gb
 
     return _record(out, (a, b), vjp)
 
@@ -248,16 +298,19 @@ def linear(x, w, b):
     y = x.data.reshape(-1, k) @ w.data
     y += b.data
     out = Tensor(y.reshape(*x.shape[:-1], n))
+    x_data = x.data if _wants(w) else None
+    w_data = w.data if _wants(x) else None
+    want_b, w_shape, b_shape = _wants(b), w.shape, b.shape
 
     def vjp(g):
         gx = gw = gb = None
-        if x.requires_grad:
-            gx = np.matmul(g, w.data.T)
-        if w.requires_grad:
-            gw = (np.multiply.outer(x.data, g) if x.ndim == 1 else
-                  _unbroadcast(_weight_grad(x.data, g), w.shape))
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.shape)
+        if w_data is not None:
+            gx = np.matmul(g, w_data.T)
+        if x_data is not None:
+            gw = (np.multiply.outer(x_data, g) if x_data.ndim == 1 else
+                  _unbroadcast(_weight_grad(x_data, g), w_shape))
+        if want_b:
+            gb = _unbroadcast(g, b_shape)
         return gx, gw, gb
 
     return _record(out, (x, w, b), vjp)
@@ -280,7 +333,8 @@ def swap_axes(a, ax1, ax2):
 
 def reshape(a, shape):
     out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(a.shape),))
+    a_shape = a.shape
+    return _record(out, (a,), lambda g: (g.reshape(a_shape),))
 
 
 def concat(tensors, axis=0):
@@ -299,12 +353,17 @@ def take(a, idx, axis=0):
     """
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(np.take(a.data, idx, axis=axis))
+    shape, dtype = a.shape, a.data.dtype
+    axis %= a.ndim
+    n = shape[axis]
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
-        view, rows = np.moveaxis(ga, axis, 0), np.moveaxis(g, axis, 0)
+        ga = np.zeros(shape, dtype)
+        # idx's dims sit at axis in g; all of them go in front, as in view[idx]
+        view = np.moveaxis(ga, axis, 0)
+        rows = np.moveaxis(g, range(axis, axis + idx.ndim), range(idx.ndim))
         # -1 and n - 1 name one position, so repeats are counted modulo n
-        if idx.size < 2 or np.unique(idx % a.shape[axis]).size == idx.size:
+        if idx.size < 2 or np.unique(idx % n).size == idx.size:
             view[idx] += rows
         else:
             np.add.at(view, idx, rows)
@@ -416,11 +475,12 @@ def layer_norm(a, gamma=None, beta=None, eps=1e-6):
     # off the tape no VJP reads xhat, so the affine may overwrite it
     y = np.multiply(xhat, gamma.data, out=None if _taped((a, gamma, beta)) else xhat)
     y += beta.data
+    gamma_data, gamma_shape, beta_shape = gamma.data, gamma.shape, beta.shape
 
     def vjp(g):
         # the add(mul(layer_norm(a), gamma), beta) chain, from beta back to a
-        return (normalize_vjp(g * gamma.data), _unbroadcast(g * xhat, gamma.shape),
-                _unbroadcast(g, beta.shape))
+        return (normalize_vjp(g * gamma_data), _unbroadcast(g * xhat, gamma_shape),
+                _unbroadcast(g, beta_shape))
 
     return _record(Tensor(y), (a, gamma, beta), vjp)
 
@@ -442,8 +502,9 @@ def _blocks(*arrays):
 def gelu(a):
     """0.5 x (1 + tanh(K (x + 0.044715 x^3))), its tanh term built in one owned buffer.
 
-    Off the tape that buffer becomes the output; on the tape the VJP reads it. Every
-    step runs block by block, so the temporaries are block-sized and stay in cache.
+    Off the tape that buffer becomes the output. On the tape the same pass turns it
+    into the derivative, which the VJP multiplies by, so x is not kept. Every step
+    runs block by block, so the temporaries are block-sized and stay in cache.
     """
     x = a.data
     taped = _taped((a,))
@@ -458,13 +519,8 @@ def gelu(a):
         np.tanh(ts, out=ts)
         np.add(1.0, ts, out=ys)
         ys *= 0.5 * xs
-    if not taped:
-        return Tensor(y)
-
-    def vjp(g):
-        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) K (1 + 3 * 0.044715 x^2))
-        gx = np.empty(x.shape, np.result_type(g, y))
-        for xs, ts, gs, gxs in _blocks(x, t, g, gx):
+        if taped:
+            # 0.5 (1 + t) + 0.5 x (1 - t^2) K (1 + 3 * 0.044715 x^2), into ts
             dt = ts * ts
             np.subtract(1.0, dt, out=dt)
             dt *= _GELU_K
@@ -475,9 +531,12 @@ def gelu(a):
             np.add(1.0, ts, out=u)
             u *= 0.5
             dt *= 0.5 * xs
-            u += dt
-            np.multiply(gs, u, out=gxs)
-        return (gx,)
+            np.add(u, dt, out=ts)
+    if not taped:
+        return Tensor(y)
+
+    def vjp(g):
+        return (np.multiply(g, t, out=np.empty(t.shape, np.result_type(g, t))),)
 
     return _record(Tensor(y), (a,), vjp)
 
@@ -502,11 +561,14 @@ def _first_max_index(x, m, axis):
 def max_reduce(a, axis):
     x = a.data
     out = Tensor(x.max(axis=axis))
+    if not _taped((a,)):
+        return out
+    # the first index on ties, kept in place of x
+    arg = _first_max_index(x, out.data, axis)
+    shape, dtype = x.shape, x.dtype
 
     def vjp(g):
-        # the first index on ties, found only when a gradient is asked for
-        arg = _first_max_index(x, out.data, axis)
-        ga = np.zeros_like(x)
+        ga = np.zeros(shape, dtype)
         np.put_along_axis(ga, arg, np.expand_dims(g, axis), axis=axis)
         return (ga,)
 
@@ -515,11 +577,12 @@ def max_reduce(a, axis):
 
 def sum_reduce(a, axis=None):
     out = Tensor(a.data.sum(axis=axis))
+    shape = a.shape
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return _record(out, (a,), vjp)
 
@@ -527,11 +590,12 @@ def sum_reduce(a, axis=None):
 def mean_reduce(a, axis=None):
     n = a.size if axis is None else a.shape[axis]
     out = Tensor(a.data.mean(axis=axis))
+    shape = a.shape
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g / n, a.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy(),)
+            return (np.broadcast_to(g / n, shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / n, shape).copy(),)
 
     return _record(out, (a,), vjp)
 
@@ -547,10 +611,11 @@ def smooth_l1(x, y, beta=1.0):
     vals = np.where(quad, 0.5 * d * d / beta, ad - 0.5 * beta)
     out = Tensor(vals.mean())
     n = d.size
+    want_x, want_y = _wants(x), _wants(y)
 
     def vjp(g):
         gd = np.where(quad, d / beta, np.sign(d)) * (g / n)
-        return gd, -gd
+        return (gd if want_x else None), (-gd if want_y else None)
 
     return _record(out, (x, y), vjp)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, _record, as_tensor, reshape
+from .autodiff import ShapeError, Tensor, _record, _wants, as_tensor, reshape
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,17 +172,21 @@ def chamfer_batch(pred, target):
     fwd = d[ar, np.arange(s)[None, :], jstar].mean(axis=1)
     bwd = d[ar, istar, np.arange(sp)[None, :]].mean(axis=1)
     out = Tensor((fwd + bwd).mean())
+    want_p, want_q = _wants(pred), _wants(target)
 
     def vjp(g):
         g = float(g) / k
         qj = np.take_along_axis(q, jstar[:, :, None], axis=1)
         pi = np.take_along_axis(p, istar[:, :, None], axis=1)
-        gp = (2.0 * g / s) * (p - qj)
-        gq = (2.0 * g / sp) * (q - pi)
+        gp = gq = None
         # pairs scatter into disjoint rows, pair by pair in index order, so
         # this adds in the same order as one np.add.at per pair
-        np.add.at(gp, (ar, istar), (2.0 * g / sp) * (pi - q))
-        np.add.at(gq, (ar, jstar), (2.0 * g / s) * (qj - p))
+        if want_p:
+            gp = (2.0 * g / s) * (p - qj)
+            np.add.at(gp, (ar, istar), (2.0 * g / sp) * (pi - q))
+        if want_q:
+            gq = (2.0 * g / sp) * (q - pi)
+            np.add.at(gq, (ar, jstar), (2.0 * g / s) * (qj - p))
         return gp, gq
 
     return _record(out, (pred, target), vjp)

@@ -670,3 +670,87 @@ def test_row_max_and_softmax_equal_the_reduction(n):
         owned = x.copy()
         assert ad._softmax(owned, out=owned) is owned
         np.testing.assert_array_equal(owned, _old_softmax(x))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+def test_take_vjp_multi_dim_index_bitwise_equals_add_at(axis):
+    # a 2-D index with repeats and a negative alias of a repeated position
+    idx = np.array([[0, 1, 1], [-1, 3, 0]])
+    shape = (4, 4, 4)
+    a = Tensor(make_rng(57).normal(size=shape), requires_grad=True)
+    out = ad.take(a, idx, axis=axis)
+    g = make_rng(58).normal(size=out.shape).astype(np.float32)
+    g[g < -0.5] = -0.0
+    backward(ad.sum_reduce(ad.mul(out, Tensor(g))))
+    # one np.add.at per index position, in C order, as the scatter adds them
+    ref = np.zeros(shape, np.float32)
+    lead = (slice(None),) * (axis % len(shape))
+    for pos in np.ndindex(idx.shape):
+        np.add.at(ref, lead + (idx[pos],), g[lead + pos])
+    assert np.array_equal(np.signbit(a.grad), np.signbit(ref)) and np.array_equal(a.grad, ref)
+
+
+# ------------------------------------------------------------ a tape of nodes
+
+
+def test_forward_frees_activations_no_vjp_reads(monkeypatch):
+    from m3cs.backbone import Block
+
+    block = Block(make_rng(59), 8, 2)
+    x = rand(2, 5, 8, seed=60)
+    seen = {}
+
+    def spy(name, fn, pick):
+        # a weakref to the picked tensor's data, and the node that made it
+        def wrapper(*args):
+            out = fn(*args)
+            t = pick(args, out)
+            seen.setdefault(name, (weakref.ref(t.data), t.node))
+            return out
+        return wrapper
+
+    # a block's first add is the attention residual; gelu's input is fc1's output
+    monkeypatch.setattr(ad, "add", spy("residual", ad.add, lambda args, out: out))
+    monkeypatch.setattr(ad, "gelu", spy("fc1", ad.gelu, lambda args, out: args[0]))
+    loss = ad.sum_reduce(block(x))
+    for name in ("residual", "fc1"):
+        ref, node = seen[name]
+        assert ref() is None, f"the {name} output outlived the forward"
+        assert any(n is node for n in ad._state.graph)
+    backward(loss)
+    assert x.grad is not None and block.fc1.w.grad is not None
+
+
+def test_backward_leaves_a_kept_loss_pinning_nothing():
+    x = rand(4, 6, seed=61)
+    held = np.ones((4, 6), np.float32)
+    ref = weakref.ref(held)
+    h = ad._record(Tensor(x.data.copy()), (x,), lambda g, held=held: (g * held,))
+    del held
+    loss = ad.sum_reduce(h)
+    backward(loss)
+    assert ref() is None and loss.node.inputs is None and loss.node.vjp is None
+    np.testing.assert_array_equal(x.grad, np.ones((4, 6)))
+
+
+def test_tensor_of_a_cleared_graph_is_a_constant():
+    x = rand(3, 4, seed=62)
+    h = ad.gelu(x)
+    ad.clear_graph()
+    y = rand(3, 4, seed=63)
+    backward(ad.sum_reduce(ad.mul(h, y)))
+    assert h.grad is None and x.grad is None and ad.graph_size() == 0
+    np.testing.assert_array_equal(y.grad, h.data)
+
+
+@pytest.mark.parametrize("op", [ad.mul, ad.smooth_l1], ids=["mul", "smooth_l1"])
+def test_builds_no_gradient_for_a_constant(op):
+    # a dropout mask, a one-hot or a teacher target; x's gradient keeps its bits
+    x, c = rand(3, 4, seed=64), make_rng(65).normal(size=(3, 4))
+    out = op(x, Tensor(c))
+    g = make_rng(66).normal(size=out.shape).astype(np.float32)
+    gx, gc = ad._state.graph[-1].vjp(g)
+    ad.clear_graph()
+    op(x, Tensor(c, requires_grad=True))
+    ref = ad._state.graph[-1].vjp(g)
+    assert gc is None and ref[1] is not None and np.array_equal(gx, ref[0])

@@ -488,9 +488,8 @@ def test_desk_logits_and_gradients_do_not_depend_on_blas_threads():
     assert len(one) == 64 and one == two
 
 
-# minor page faults per desk fine-tune step, in a fresh process after two warm-up steps
-_STEP_FAULTS = """
-import resource
+# a desk fine-tune model, its optimiser and 16 clouds; step(i) runs fine-tune step i
+_DESK_STEP = """
 from m3cs.config import FinetuneConfig, ModelConfig
 from m3cs.data import gen_shapes
 from m3cs.finetune import FinetuneModel, finetune_step, trainable_params
@@ -502,11 +501,32 @@ items = gen_shapes(("sphere", "cube", "torus", "cylinder"), 4, 1024, make_rng(52
 clouds, labels = [c for c, _ in items], [l for _, l in items]
 model = FinetuneModel(make_rng(0, 10), mcfg, 4, hidden=fcfg.hidden, dropout=fcfg.dropout)
 opt = AdamW(trainable_params(model, fcfg), lr=fcfg.lr, total_steps=100, warmup=5)
+
+
+def step(i):
+    finetune_step(model, opt, clouds, labels, mcfg, fcfg, make_rng(0, 11, i))
+"""
+
+# minor page faults per desk fine-tune step, in a fresh process after two warm-up steps
+_STEP_FAULTS = _DESK_STEP + """
+import resource
+
 for i in range(5):
     if i == 2:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    finetune_step(model, opt, clouds, labels, mcfg, fcfg, make_rng(0, 11, i))
+    step(i)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 3)
+"""
+
+# the tracemalloc peak of one desk fine-tune step, in MB, in a fresh process after one
+# warm-up step
+_STEP_PEAK = _DESK_STEP + """
+import tracemalloc
+
+step(0)
+tracemalloc.start()
+step(1)
+print(tracemalloc.get_traced_memory()[1] / 2**20)
 """
 
 
@@ -514,3 +534,8 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 3)
 def test_desk_finetune_step_reuses_the_heap_of_the_last():
     # a heap top trimmed after each step comes back as ~3k faults in the next
     assert float(_fresh_process(_STEP_FAULTS)) < 300
+
+
+def test_desk_finetune_step_peak_memory():
+    # the tape holds only what each VJP reads; a tape of tensors peaked at 45 MB here
+    assert float(_fresh_process(_STEP_PEAK)) <= 36

@@ -211,6 +211,21 @@ def test_chamfer_batch_gradient():
         gradcheck(lambda: chamfer_batch(p, q), [p, q], rtol=1e-4)
 
 
+
+@pytest.mark.parametrize("wanted", ["pred", "target"])
+def test_chamfer_batch_builds_no_gradient_for_a_constant(wanted):
+    # pretrain's target never asks for a gradient; the side that does gets the same bits
+    p, q = make_rng(18).normal(size=(3, 4, 3)), make_rng(19).normal(size=(3, 5, 3))
+    g = np.float32(0.7)
+    chamfer_batch(Tensor(p, requires_grad=True), Tensor(q, requires_grad=True))
+    both = ad._state.graph[-1].vjp(g)
+    ad.clear_graph()
+    chamfer_batch(Tensor(p, requires_grad=wanted == "pred"),
+                  Tensor(q, requires_grad=wanted == "target"))
+    one = ad._state.graph[-1].vjp(g)
+    side = 0 if wanted == "pred" else 1
+    assert one[1 - side] is None and np.array_equal(one[side], both[side])
+
 # ---------------------------------------------- oracle: the per-point loops
 #
 # The bodies below are the straightforward loops fps/knn/group started from.
