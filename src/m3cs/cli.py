@@ -10,9 +10,8 @@ from . import autodiff as ad
 from .checkpoint import load_checkpoint, model_state, save_checkpoint
 from .codebook import temperature
 from .config import RunConfig, dump_config, given_settings, load_config, to_flat
-from .data import gen_shapes, load_dataset, save_dataset
-from .finetune import (FinetuneModel, _cloud_batch, evaluate, few_shot, finetune_loop,
-                       sample_episode)
+from .data import _cloud_batch, gen_shapes, load_dataset, save_dataset
+from .finetune import FinetuneModel, evaluate, few_shot, finetune_loop, sample_episode
 from .pretrain import PretrainModel, make_mask, pretrain_loop
 from .rng import make_rng
 

@@ -1,4 +1,5 @@
-"""Synthetic shape datasets, .xyz file I/O, and training augmentations."""
+"""Synthetic shape datasets, .xyz file I/O, training augmentations, and the rule that
+turns clouds into patches."""
 
 import csv
 import os
@@ -6,7 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .geometry import PointCloud
+from .rng import make_rng
 
 FAMILIES = ("sphere", "cube", "torus", "cylinder")
 
@@ -133,6 +136,36 @@ def augment(cloud, rng, out_points=1024):
     else:
         idx = rng.choice(n, size=out_points, replace=True)
     return PointCloud(points=pts[idx])
+
+
+def _resample(cloud, n_points, i):
+    """The cloud resampled to n_points by the draw keyed to chunk position i."""
+    idx = make_rng(7, i).choice(cloud.n, size=n_points, replace=cloud.n < n_points)
+    return PointCloud(points=cloud.points[idx])
+
+
+def _cloud_batch(clouds, mcfg, rng, train=True):
+    """The one clouds-to-patches rule: dense (B,G,S,3) groups and (B,G,3) centers.
+
+    Training augments each cloud and starts FPS at a random point, so its
+    fresh clouds are grouped once and freed. Otherwise a cloud is resampled to
+    mcfg.n_points (keyed by its position) and FPS starts at 0; the resampled
+    cloud and its patches are derived once and kept on the source cloud.
+    """
+    all_groups, all_centers = [], []
+    for i, cloud in enumerate(clouds):
+        if train:
+            cloud = augment(cloud, rng, out_points=mcfg.n_points)
+            start = int(rng.integers(cloud.n))
+        else:
+            if cloud.n != mcfg.n_points:
+                cloud = cloud.derive(_resample, mcfg.n_points, i)
+            start = 0
+        # looked up on the module, so a wrapper put on geometry.group sees every call
+        ps = geometry.group(cloud, mcfg.g, mcfg.s, start=start)
+        all_groups.append(ps.groups)
+        all_centers.append(ps.centers)
+    return np.stack(all_groups), np.stack(all_centers)
 
 
 def save_xyz(path, cloud):

@@ -1,7 +1,5 @@
 """Downstream adaptation: hybrid token aggregation over the codebook and heads."""
 
-import csv
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,10 +9,9 @@ from .autodiff import Tensor
 from .backbone import Backbone
 from .codebook import Codebook
 from .config import ModelConfig
-from .data import Dataset, augment
-from .geometry import PointCloud, group
+from .data import Dataset, _cloud_batch
 from .layers import Linear, Module, init_param
-from .optim import AdamW
+from .optim import step_loop
 from .rng import make_rng
 
 
@@ -103,66 +100,6 @@ class FinetuneModel(Backbone):
 
 
 # ------------------------------------------------------------------ training
-
-
-@contextmanager
-def metrics_stream(path, header):
-    """A row writer for a CSV at path, flushed per row; without a path rows are dropped."""
-    if not path:
-        yield lambda row: None
-        return
-    with open(path, "w", newline="", buffering=1) as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
-        writer.writeheader()
-        yield writer.writerow
-
-
-def step_loop(cfg, params, seed, stream, step_fn, metrics_path, header, log_every, log):
-    """cfg.steps steps of step_fn(opt, step, rng) -> record, under AdamW on params with
-    cfg's lr, weight_decay, steps and warmup; rng is keyed by (seed, stream, step).
-
-    Each record is kept, streamed to the CSV at metrics_path, and every log_every
-    steps printed by the format string `log`. Returns (optimizer, records).
-    """
-    opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay,
-                total_steps=cfg.steps, warmup=cfg.warmup)
-    records = []
-    with metrics_stream(metrics_path, header) as write:
-        for step in range(cfg.steps):
-            records.append(step_fn(opt, step, make_rng(seed, stream, step)))
-            write(records[-1])
-            if log_every and step % log_every == 0:
-                print(log.format_map(records[-1]))
-    return opt, records
-
-
-def _resample(cloud, n_points, i):
-    """The cloud resampled to n_points by the draw keyed to chunk position i."""
-    idx = make_rng(7, i).choice(cloud.n, size=n_points, replace=cloud.n < n_points)
-    return PointCloud(points=cloud.points[idx])
-
-
-def _cloud_batch(clouds, mcfg, rng, train=True):
-    """The one clouds-to-patches rule: dense (B,G,S,3) groups and (B,G,3) centers.
-
-    Training augments each cloud and starts FPS at a random point, so its
-    fresh clouds are grouped once and freed. Otherwise a cloud is resampled to
-    mcfg.n_points (keyed by its position) and FPS starts at 0; the resampled
-    cloud and its patches are derived once and kept on the source cloud.
-    """
-    all_groups, all_centers = [], []
-    for i, cloud in enumerate(clouds):
-        if train:
-            cloud = augment(cloud, rng, out_points=mcfg.n_points)
-            start = int(rng.integers(cloud.n))
-        else:
-            if cloud.n != mcfg.n_points:
-                cloud = cloud.derive(_resample, mcfg.n_points, i)
-            start = 0
-        ps = group(cloud, mcfg.g, mcfg.s, start=start)
-        all_groups.append(ps.groups)
-        all_centers.append(ps.centers)
-    return np.stack(all_groups), np.stack(all_centers)
 
 
 def finetune_step(model, opt, clouds, labels, mcfg, fcfg, rng):

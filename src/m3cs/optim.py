@@ -1,10 +1,14 @@
-"""AdamW with decoupled weight decay and a warmup + cosine learning-rate schedule."""
+"""AdamW with decoupled weight decay and a warmup + cosine learning-rate schedule,
+and the step loop that pretraining and fine-tuning both run under it."""
 
+import csv
 import math
+import os
 
 import numpy as np
 
 from .autodiff import ShapeError
+from .rng import make_rng
 
 
 def lr_at(step, base_lr, total_steps, warmup=0):
@@ -67,3 +71,25 @@ class AdamW:
             mhat += np.multiply(self.weight_decay, p.data, out=tmp)
             mhat *= lr
             p.data -= mhat
+
+
+def step_loop(cfg, params, seed, stream, step_fn, metrics_path, header, log_every, log):
+    """cfg.steps steps of step_fn(opt, step, rng) -> record, under AdamW on params with
+    cfg's lr, weight_decay, steps and warmup; rng is keyed by (seed, stream, step).
+
+    Each record is kept, streamed to the CSV at metrics_path (flushed per row; without
+    a path rows are dropped), and every log_every steps printed by the format string
+    `log`. Returns (optimizer, records).
+    """
+    opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay,
+                total_steps=cfg.steps, warmup=cfg.warmup)
+    records = []
+    with open(metrics_path or os.devnull, "w", newline="", buffering=1) as fh:
+        writer = csv.DictWriter(fh, fieldnames=header)
+        writer.writeheader()
+        for step in range(cfg.steps):
+            records.append(step_fn(opt, step, make_rng(seed, stream, step)))
+            writer.writerow(records[-1])
+            if log_every and step % log_every == 0:
+                print(log.format_map(records[-1]))
+    return opt, records

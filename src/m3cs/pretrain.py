@@ -10,9 +10,10 @@ from .autodiff import Tensor
 from .backbone import Backbone, EncoderStack, SiameseDecoder
 from .codebook import Codebook, Quantizer, perplexity, temperature
 from .config import ModelConfig, PretrainConfig
-from .finetune import _cloud_batch, step_loop
+from .data import _cloud_batch
 from .geometry import chamfer_batch
 from .layers import Linear, init_param
+from .optim import step_loop
 from .rng import make_rng
 
 METRICS_HEADER = ["step", "l_align", "l_rec", "l_total", "lambda", "tau", "perplexity"]

@@ -15,10 +15,9 @@ from m3cs.autodiff import Tensor, gradcheck, precision
 from m3cs.backbone import SiameseDecoder
 from m3cs.checkpoint import load_checkpoint, save_checkpoint
 from m3cs.config import FewshotConfig, FinetuneConfig, ModelConfig, PretrainConfig
-from m3cs.data import gen_shapes
+from m3cs.data import _cloud_batch, gen_shapes
 from m3cs.finetune import (
     FinetuneModel,
-    _cloud_batch,
     cross_entropy,
     few_shot,
     finetune_loop,

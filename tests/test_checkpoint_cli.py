@@ -336,7 +336,7 @@ def test_cli_inspect_codebook(trained, capsys):
 
 def test_cli_inspect_codebook_shows_eval_patches(tmp_path, capsys):
     from m3cs.cli import _dataset, _read_checkpoint
-    from m3cs.finetune import _cloud_batch
+    from m3cs.data import _cloud_batch
 
     # clouds of 100 points, patched from 64 as evaluation patches them
     pre_dir = str(tmp_path / "pre")
@@ -690,7 +690,8 @@ def test_cli_eval_missing_tensor(trained, tmp_path, capsys, command, kind, flags
 
 def test_frozen_codebook_checkpoint_reload_gives_identical_logits(trained, tmp_path):
     from m3cs.cli import _dataset, _load_finetuned, _read_checkpoint
-    from m3cs.finetune import _cloud_batch, finetune_loop
+    from m3cs.data import _cloud_batch
+    from m3cs.finetune import finetune_loop
 
     flags = {k[2:]: v for k, v in zip(TINY_FLAGS[::2], TINY_FLAGS[1::2])}
     cfg = load_config(overrides={**flags, "finetune.steps": 3, "finetune.batch_size": 2,
@@ -713,8 +714,7 @@ def test_frozen_codebook_checkpoint_reload_gives_identical_logits(trained, tmp_p
 
 def test_checkpoint_reload_gives_identical_logits(trained):
     from m3cs.cli import _load_finetuned
-    from m3cs.finetune import _cloud_batch
-    from m3cs.data import gen_shapes
+    from m3cs.data import _cloud_batch, gen_shapes
 
     cfg = load_config(overrides={"checkpoint": os.path.join(trained["ft_dir"],
                                                             "finetune.ckpt")})

@@ -14,11 +14,10 @@ import m3cs.autodiff as ad
 import m3cs.finetune as finetune_mod
 from m3cs.autodiff import Tensor, gradcheck, precision
 from m3cs.config import FinetuneConfig, ModelConfig
-from m3cs.data import Dataset, gen_shapes
+from m3cs.data import Dataset, _cloud_batch, gen_shapes
 from m3cs.finetune import (
     ClassifierHead,
     FinetuneModel,
-    _cloud_batch,
     cross_entropy,
     evaluate,
     few_shot,
@@ -449,8 +448,8 @@ _DESK_HASH = """
 import hashlib
 import m3cs.autodiff as ad
 from m3cs.config import FinetuneConfig, ModelConfig
-from m3cs.data import gen_shapes
-from m3cs.finetune import FinetuneModel, _cloud_batch, cross_entropy
+from m3cs.data import _cloud_batch, gen_shapes
+from m3cs.finetune import FinetuneModel, cross_entropy
 from m3cs.rng import make_rng
 
 desk, layers = ModelConfig(), FinetuneConfig().layers

@@ -29,9 +29,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from m3cs import autodiff as ad  # noqa: E402
 from m3cs.cli import main  # noqa: E402
 from m3cs.config import FinetuneConfig, ModelConfig, PretrainConfig  # noqa: E402
-from m3cs.data import gen_shapes  # noqa: E402
-from m3cs.finetune import (FinetuneModel, _cloud_batch, cross_entropy, few_shot,  # noqa: E402
-                           finetune_loop)
+from m3cs.data import _cloud_batch, gen_shapes  # noqa: E402
+from m3cs.finetune import FinetuneModel, cross_entropy, few_shot, finetune_loop  # noqa: E402
 from m3cs.optim import AdamW  # noqa: E402
 from m3cs.pretrain import (PretrainModel, assemble_batch, init_teacher,  # noqa: E402
                            pretrain_loop, train_step)
