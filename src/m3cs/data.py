@@ -169,9 +169,11 @@ def _cloud_batch(clouds, mcfg, rng, train=True):
 
 
 def save_xyz(path, cloud):
+    # repr of a Python float reads back as the same float64 (a numpy scalar's repr
+    # would print np.float64(...), which load_xyz refuses)
     with open(path, "w") as fh:
         for p in cloud.points:
-            fh.write(f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f}\n")
+            fh.write(" ".join(repr(float(v)) for v in p) + "\n")
 
 
 def load_xyz(path):

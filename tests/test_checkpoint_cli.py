@@ -223,6 +223,18 @@ def test_cli_gen_data(tmp_path, capsys):
     assert os.path.exists(tmp_path / "data" / "test" / "manifest.csv")
 
 
+def test_cli_finetune_on_data_dir_matches_in_memory_run(trained, tmp_path):
+    # .xyz files keep every coordinate's float64 bits, so the metrics match byte for byte
+    data_dir = str(tmp_path / "data")
+    assert main(["gen-data", "--dir", data_dir, *TINY_FLAGS]) == 0
+    ft_dir = tmp_path / "ft"
+    assert main(["finetune", "--out-dir", str(ft_dir), "--checkpoint", trained["ckpt"],
+                 "--steps", "3", "--batch-size", "2", "--finetune.warmup", "1",
+                 *TINY_MODEL_FLAGS, "--data.dir", data_dir]) == 0
+    with open(os.path.join(trained["ft_dir"], "finetune_metrics.csv"), "rb") as fh:
+        assert (ft_dir / "finetune_metrics.csv").read_bytes() == fh.read()
+
+
 def test_cli_pretrain_outputs(trained):
     pre_dir = trained["pre_dir"]
     assert os.path.exists(trained["ckpt"])

@@ -172,7 +172,7 @@ def test_xyz_roundtrip(tmp_path):
     path = tmp_path / "a.xyz"
     save_xyz(path, cloud)
     loaded = load_xyz(path)
-    np.testing.assert_allclose(loaded.points, cloud.points, atol=1e-6)
+    np.testing.assert_array_equal(loaded.points, cloud.points)
 
 
 def test_xyz_parses_plain_floats(tmp_path):
@@ -217,7 +217,7 @@ def test_dataset_roundtrip(tmp_path):
     assert loaded.class_names == ["sphere", "cube"]
     for (ca, la), (cb, lb) in zip(ds.items, loaded.items):
         assert la == lb
-        np.testing.assert_allclose(ca.points, cb.points, atol=1e-6)
+        np.testing.assert_array_equal(ca.points, cb.points)
 
 
 def test_dataset_missing_manifest(tmp_path):
