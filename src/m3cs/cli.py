@@ -65,12 +65,14 @@ def _prepare_out(cfg):
     dump_config(cfg, os.path.join(cfg.out_dir, "config.json"))
 
 
-def _read_checkpoint(cfg, given, prefix, sections):
-    """cfg.checkpoint's tensors named prefix + key, keyed by key; cfg with every setting
-    in `sections` taken from the checkpoint; n_classes.
+def _load_model(cfg, given, prefix, sections):
+    """The model in checkpoint cfg.checkpoint, every tensor loaded, and cfg with every
+    setting in `sections` taken from the checkpoint. `student.` tensors make a
+    PretrainModel, `model.` tensors a FinetuneModel with the saved n_classes.
 
     A setting in `sections` that was given (preset, --config or flag) with another
-    value than the checkpoint's is refused.
+    value than the checkpoint's is refused, and so is a tensor of the model that the
+    checkpoint lacks, under its checkpoint name, prefix + name.
     """
     tensors, ck_cfg = load_checkpoint(cfg.checkpoint)
     arrays = {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
@@ -83,7 +85,15 @@ def _read_checkpoint(cfg, given, prefix, sections):
         if key in given and key.split(".")[0] in sections and value != ck[key]:
             raise ValueError(f"{key} is {value} here but {ck[key]} in {cfg.checkpoint}")
     cfg = dataclasses.replace(cfg, **{s: getattr(saved, s) for s in sections})
-    return arrays, cfg, n_classes
+    if prefix == "student.":
+        model = PretrainModel(make_rng(cfg.seed, 0), cfg.model)
+    else:
+        model = FinetuneModel(make_rng(cfg.seed, 10), cfg.model, n_classes,
+                              hidden=cfg.finetune.hidden, dropout=cfg.finetune.dropout)
+    missing = [k for k in model.named_tensors() if k not in arrays]
+    if missing:
+        raise ValueError(f"{cfg.checkpoint}: no tensor '{prefix}{missing[0]}'")
+    return model.load_params(arrays), cfg
 
 
 def _run_sections(cfg):
@@ -130,27 +140,17 @@ def cmd_pretrain(cfg, given):
     return 0
 
 
-def _load_all(model, arrays, path, prefix):
-    """model with every one of its tensors loaded from arrays; a tensor that arrays lacks
-    is refused under its checkpoint name, prefix + name."""
-    missing = [k for k in model.named_tensors() if k not in arrays]
-    if missing:
-        raise ValueError(f"{path}: no tensor '{prefix}{missing[0]}'")
-    return model.load_params(arrays)
-
-
 def _initial_weights(command, cfg, given, layers):
-    """The pretrain checkpoint's student arrays and cfg with its model settings, or
-    (None, cfg) under --from-scratch. Exactly one of the two flags must be given, the
+    """The pretrain checkpoint's student tensors by name and cfg with its model settings,
+    or (None, cfg) under --from-scratch. Exactly one of the two flags must be given, the
     checkpoint must hold every tensor of a pretrain model of its settings, and each id in
     `layers` must name an encoder layer, and there must be at least one."""
     if cfg.finetune.from_scratch == bool(cfg.checkpoint):
         raise ValueError(f"{command} needs exactly one of --checkpoint and --from-scratch")
     init_arrays = None
     if cfg.checkpoint:
-        init_arrays, cfg, _ = _read_checkpoint(cfg, given, "student.", ("model",))
-        _load_all(PretrainModel(make_rng(cfg.seed, 0), cfg.model), init_arrays,
-                  cfg.checkpoint, "student.")
+        student, cfg = _load_model(cfg, given, "student.", ("model",))
+        init_arrays = model_state(student, "")
     depth = cfg.model.enc_depth
     if not layers:
         raise ValueError(f"{command} needs at least one encoder layer id")
@@ -178,18 +178,10 @@ def cmd_finetune(cfg, given):
     return 0
 
 
-def _load_finetuned(cfg, given):
-    """The model in fine-tune checkpoint cfg.checkpoint, and cfg with the settings it ran on."""
-    arrays, cfg, n_classes = _read_checkpoint(cfg, given, "model.", _run_sections(cfg))
-    model = FinetuneModel(make_rng(cfg.seed, 10), cfg.model, n_classes,
-                          hidden=cfg.finetune.hidden, dropout=cfg.finetune.dropout)
-    return _load_all(model, arrays, cfg.checkpoint, "model."), cfg
-
-
 def cmd_eval(cfg, given):
     if not cfg.checkpoint:
         raise FileNotFoundError("eval needs --checkpoint pointing at a finetune checkpoint")
-    model, cfg = _load_finetuned(cfg, given)
+    model, cfg = _load_model(cfg, given, "model.", _run_sections(cfg))
     acc = evaluate(model, _dataset(cfg, "test"), cfg.model, cfg.finetune)
     print(f"test accuracy: {acc:.4f}")
     return 0
@@ -224,9 +216,7 @@ def cmd_fewshot(cfg, given):
 def cmd_inspect_codebook(cfg, given):
     if not cfg.checkpoint:
         raise FileNotFoundError("inspect-codebook needs --checkpoint (pretrain checkpoint)")
-    arrays, cfg, _ = _read_checkpoint(cfg, given, "student.", _run_sections(cfg))
-    model = _load_all(PretrainModel(make_rng(cfg.seed, 0), cfg.model), arrays,
-                      cfg.checkpoint, "student.")
+    model, cfg = _load_model(cfg, given, "student.", _run_sections(cfg))
     test = _dataset(cfg, "test")
     groups, centers = _cloud_batch([c for c, _ in test.items[:8]], cfg.model, None,
                                    train=False)

@@ -347,7 +347,7 @@ def test_cli_inspect_codebook(trained, capsys):
 
 
 def test_cli_inspect_codebook_shows_eval_patches(tmp_path, capsys):
-    from m3cs.cli import _dataset, _read_checkpoint
+    from m3cs.cli import _dataset, _load_model
     from m3cs.data import _cloud_batch
 
     # clouds of 100 points, patched from 64 as evaluation patches them
@@ -359,8 +359,8 @@ def test_cli_inspect_codebook_shows_eval_patches(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect-codebook", "--checkpoint", ckpt]) == 0
     rows = [line.split(",")[:3] for line in capsys.readouterr().out.strip().splitlines()[1:]]
-    saved = _read_checkpoint(load_config(overrides={"checkpoint": ckpt}), {}, "student.",
-                             ("seed", "model", "data"))[1]
+    saved = _load_model(load_config(overrides={"checkpoint": ckpt}), {}, "student.",
+                        ("seed", "model", "data"))[1]
     test = _dataset(saved, "test")
     _, centers = _cloud_batch([c for c, _ in test.items[:8]], saved.model, None, train=False)
     assert rows == [[f"{v:.6f}" for v in center] for center in centers.reshape(-1, 3)]
@@ -701,7 +701,7 @@ def test_cli_eval_missing_tensor(trained, tmp_path, capsys, command, kind, flags
 
 
 def test_frozen_codebook_checkpoint_reload_gives_identical_logits(trained, tmp_path):
-    from m3cs.cli import _dataset, _load_finetuned, _read_checkpoint
+    from m3cs.cli import _dataset, _load_model, _run_sections
     from m3cs.data import _cloud_batch
     from m3cs.finetune import finetune_loop
 
@@ -710,14 +710,14 @@ def test_frozen_codebook_checkpoint_reload_gives_identical_logits(trained, tmp_p
                                  "finetune.warmup": 1, "finetune.freeze_codebook": True})
     train, test = _dataset(cfg, "train"), _dataset(cfg, "test")
     cfg.checkpoint = trained["ckpt"]
-    arrays = _read_checkpoint(cfg, {}, "student.", ())[0]
+    arrays = model_state(_load_model(cfg, {}, "student.", ())[0], "")
     model, _, _ = finetune_loop(train, None, cfg.model, cfg.finetune, seed=cfg.seed,
                                 init_arrays=arrays)
     path = tmp_path / "frozen.ckpt"
     save_checkpoint(path, model_state(model, "model."),
                     {**to_flat(cfg), "n_classes": len(train.class_names)})
     cfg.checkpoint = str(path)
-    reloaded, saved = _load_finetuned(cfg, {})
+    reloaded, saved = _load_model(cfg, {}, "model.", _run_sections(cfg))
     groups, centers = _cloud_batch([c for c, _ in test.items], saved.model, None, train=False)
     want = model.forward(groups, centers, layers=saved.finetune.layers).data
     got = reloaded.forward(groups, centers, layers=saved.finetune.layers).data
@@ -725,13 +725,13 @@ def test_frozen_codebook_checkpoint_reload_gives_identical_logits(trained, tmp_p
 
 
 def test_checkpoint_reload_gives_identical_logits(trained):
-    from m3cs.cli import _load_finetuned
+    from m3cs.cli import _load_model, _run_sections
     from m3cs.data import _cloud_batch, gen_shapes
 
     cfg = load_config(overrides={"checkpoint": os.path.join(trained["ft_dir"],
                                                             "finetune.ckpt")})
-    model_a, saved = _load_finetuned(cfg, {})
-    model_b, _ = _load_finetuned(cfg, {})
+    model_a, saved = _load_model(cfg, {}, "model.", _run_sections(cfg))
+    model_b, _ = _load_model(cfg, {}, "model.", _run_sections(cfg))
     ds = gen_shapes(["sphere"], 2, 64, make_rng(42), "test")
     clouds = [c for c, _ in ds.items]
     groups, centers = _cloud_batch(clouds, saved.model, None, train=False)
