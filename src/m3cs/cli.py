@@ -22,6 +22,10 @@ ALIASES = {
     "fewshot": {"runs": "fewshot.runs", "way": "fewshot.way", "shot": "fewshot.shot"},
     "gen-data": {"dir": "data.dir"},
 }
+# refused below one by every command that builds a model; the constructors and the
+# grouping refuse the other bad sizes themselves
+MODEL_SIZES = ("model.c", "model.heads", "model.enc_depth", "model.g", "model.s",
+               "model.n_points")
 
 
 def _parse_overrides(command, extra):
@@ -60,9 +64,19 @@ def _dataset(cfg, split):
     return ds
 
 
+def _snapshot(cfg):
+    """cfg's flat settings as a run's config.json and checkpoint record them. A run on
+    --data.dir reads the directory, so the other data.* settings, which describe
+    generated data, are left out; reading the record back fills in their defaults."""
+    flat = to_flat(cfg)
+    if cfg.data.dir:
+        flat = {k: v for k, v in flat.items() if not k.startswith("data.") or k == "data.dir"}
+    return flat
+
+
 def _prepare_out(cfg):
     os.makedirs(cfg.out_dir, exist_ok=True)
-    dump_config(cfg, os.path.join(cfg.out_dir, "config.json"))
+    dump_config(_snapshot(cfg), os.path.join(cfg.out_dir, "config.json"))
 
 
 def _load_model(cfg, given, prefix, sections):
@@ -109,6 +123,14 @@ def _refuse_below_one(cfg, *keys):
             raise ValueError(f"{key} must be at least 1, got {flat[key]}")
 
 
+def _refuse_bad_model(cfg, cloud):
+    """Build a pretrain model of cfg's settings and patch `cloud` as training does, so
+    that the constructors and the grouping refuse what they refuse (heads that do not
+    divide the width, T < 2, G or S above n_points) before anything is written."""
+    PretrainModel(make_rng(0), cfg.model)
+    _cloud_batch([cloud], cfg.model, make_rng(0))
+
+
 def cmd_gen_data(cfg, given):
     out = cfg.data.dir or os.path.join(cfg.out_dir, "data")
     train, test = _generate(cfg, "train"), _generate(cfg, "test")
@@ -120,18 +142,23 @@ def cmd_gen_data(cfg, given):
 
 def cmd_pretrain(cfg, given):
     m, p = cfg.model, cfg.pretrain
-    # step 0's checks, and a run with no steps or batch, refused before anything is written
-    _refuse_below_one(cfg, "pretrain.steps", "pretrain.batch_size")
-    temperature(0, p.steps, p.tau_schedule, p.tau_start, p.tau_end)
+    # step 0's checks, the last step's temperature, the model's checks, and a run with no
+    # steps or batch, refused before anything is written
+    _refuse_below_one(cfg, "pretrain.steps", "pretrain.batch_size", *MODEL_SIZES)
+    for step in (0, p.steps - 1):  # both schedules are monotone, so their ends bound tau
+        tau = temperature(step, p.steps, p.tau_schedule, p.tau_start, p.tau_end)
+        if tau <= 0:
+            raise ValueError(f"quantizer temperature must be positive, got {tau}")
     make_mask(p.mask_kind, m.g, p.mask_ratio, make_rng(0), centers=[(0.0, 0.0, 0.0)] * m.g)
     train = _dataset(cfg, "train")
+    _refuse_bad_model(cfg, train.items[0][0])
     _prepare_out(cfg)
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
     model, _, _, metrics = pretrain_loop(
         train, cfg.model, cfg.pretrain, seed=cfg.seed,
         metrics_path=metrics_path, log_every=25)
     ckpt = cfg.checkpoint or os.path.join(cfg.out_dir, "pretrain.ckpt")
-    save_checkpoint(ckpt, model_state(model, "student."), to_flat(cfg))
+    save_checkpoint(ckpt, model_state(model, "student."), _snapshot(cfg))
     last = metrics[-1]
     print(f"pretrained {cfg.pretrain.steps} steps: l_total={last['l_total']:.4f} "
           f"perplexity={last['perplexity']:.1f}")
@@ -162,17 +189,19 @@ def _initial_weights(command, cfg, given, layers):
 
 
 def cmd_finetune(cfg, given):
-    _refuse_below_one(cfg, "finetune.steps", "finetune.batch_size")
+    _refuse_below_one(cfg, "finetune.steps", "finetune.batch_size", "finetune.hidden",
+                      *MODEL_SIZES)
     init_arrays, cfg = _initial_weights("finetune", cfg, given, cfg.finetune.layers)
     train, test = _dataset(cfg, "train"), _dataset(cfg, "test")
+    _refuse_bad_model(cfg, train.items[0][0])
     _prepare_out(cfg)
     metrics_path = os.path.join(cfg.out_dir, "finetune_metrics.csv")
     model, _, test_acc = finetune_loop(
         train, test, cfg.model, cfg.finetune, seed=cfg.seed,
         init_arrays=init_arrays, metrics_path=metrics_path, log_every=50)
-    snapshot = {**to_flat(cfg), "n_classes": len(train.class_names)}
     out_ckpt = os.path.join(cfg.out_dir, "finetune.ckpt")
-    save_checkpoint(out_ckpt, model_state(model, "model."), snapshot)
+    save_checkpoint(out_ckpt, model_state(model, "model."),
+                    {**_snapshot(cfg), "n_classes": len(train.class_names)})
     print(f"test accuracy: {test_acc:.4f}")
     print(f"checkpoint: {out_ckpt}")
     return 0
@@ -190,11 +219,12 @@ def cmd_eval(cfg, given):
 def cmd_fewshot(cfg, given):
     fs = cfg.fewshot
     _refuse_below_one(cfg, "fewshot.runs", "fewshot.way", "fewshot.shot", "fewshot.steps",
-                      "finetune.batch_size")
+                      "finetune.batch_size", "finetune.hidden", *MODEL_SIZES)
     init_arrays, cfg = _initial_weights("fewshot", cfg, given, fs.layers)
     test = _dataset(cfg, "test")
     # the first episode's way and query checks, before anything is written
     sample_episode(test, fs.way, fs.shot, fs.query, make_rng(cfg.seed, 20))
+    _refuse_bad_model(cfg, test.items[0][0])
     _prepare_out(cfg)
     ep_cfg = dataclasses.replace(cfg.finetune, steps=fs.steps, lr=fs.lr, layers=fs.layers)
     records, mean, std = few_shot(test, fs.way, fs.shot, fs.runs, cfg.model,
@@ -257,7 +287,8 @@ def main(argv=None):
                 flags[key] = getattr(args, key)
         given = given_settings(args.config, flags, args.preset)
         cfg = load_config(overrides=given)
-        # a run's config.json holds every key, so a --config data.* key counts if not default
+        # a --data.dir run's config.json holds data.dir alone, but any other run's holds every
+        # data.* key, so a --config data.* key counts only at a value other than its default
         default = to_flat(RunConfig())
         dropped = [k for k, v in to_flat(cfg).items() if k in given and k.startswith("data.")
                    and k != "data.dir" and (k in flags or v != default[k])]

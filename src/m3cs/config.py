@@ -167,6 +167,7 @@ def load_config(path=None, overrides=None, preset=None):
 
 
 def dump_config(cfg, path):
+    """Write cfg, a RunConfig or its flat settings, as flat dotted-key JSON."""
     with open(path, "w") as fh:
-        json.dump(to_flat(cfg), fh, indent=2, sort_keys=True)
+        json.dump(cfg if isinstance(cfg, dict) else to_flat(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -2,6 +2,7 @@
 turns clouds into patches."""
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -186,9 +187,12 @@ def load_xyz(path):
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 coordinates, got {len(parts)}")
             try:
-                pts.append([float(x) for x in parts])
+                point = [float(x) for x in parts]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed coordinate in {line.strip()!r}")
+            if not all(map(math.isfinite, point)):  # float() reads nan and inf
+                raise ValueError(f"{path}:{lineno}: non-finite coordinate in {line.strip()!r}")
+            pts.append(point)
     if not pts:
         raise ValueError(f"{path}: no points (a cloud needs at least one)")
     return PointCloud(points=np.asarray(pts))

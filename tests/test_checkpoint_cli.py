@@ -447,6 +447,41 @@ def test_cli_pretrain_refuses_bad_setting_before_writing(tmp_path, capsys, flag,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("pretrain", ["--model.heads", "0"], "model.heads must be at least 1, got 0"),
+    ("pretrain", ["--model.c", "0"], "model.c must be at least 1, got 0"),
+    ("pretrain", ["--model.enc_depth", "0"], "model.enc_depth must be at least 1, got 0"),
+    ("pretrain", ["--model.s", "0"], "model.s must be at least 1, got 0"),
+    ("pretrain", ["--model.n_points", "0"], "model.n_points must be at least 1, got 0"),
+    ("pretrain", ["--model.heads", "5"], "width 16 not divisible by 5 heads"),
+    ("pretrain", ["--model.t", "1"], "codebook needs T >= 2, got 1"),
+    ("pretrain", ["--model.n_points", "3"], "group: S=4 exceeds cloud size 3"),
+    ("pretrain", ["--model.g", "600"], "fps: need 1 <= G <= N, got G=600, N=64"),
+    ("pretrain", ["--pretrain.tau_start", "0"],
+     "quantizer temperature must be positive, got 0.0"),
+    ("pretrain", ["--steps", "2", "--pretrain.tau_end", "-1"],
+     "quantizer temperature must be positive, got 0.0"),
+    ("finetune", ["--finetune.hidden", "0"], "finetune.hidden must be at least 1, got 0"),
+    ("finetune", ["--model.s", "600"], "group: S=600 exceeds cloud size 64"),
+    ("fewshot", ["--model.heads", "0"], "model.heads must be at least 1, got 0"),
+], ids=["heads0", "c0", "enc_depth0", "s0", "n_points0", "heads5", "t1", "n_points3",
+        "g600", "tau_start0", "tau_end-1", "finetune-hidden0", "finetune-s600",
+        "fewshot-heads0"])
+def test_cli_refuses_bad_model_setting_before_writing(tmp_path, capsys, command, flags,
+                                                      message):
+    # model and head sizes, and the temperatures, are refused before any file is written
+    start = {"pretrain": ["--steps", "1", "--batch-size", "2"],
+             "finetune": ["--from-scratch", *RUN_FLAGS["finetune"]],
+             "fewshot": ["--from-scratch", *RUN_FLAGS["fewshot"]]}[command]
+    out_dir = tmp_path / "o"
+    rc = main([command, "--out-dir", str(out_dir), *start, *TINY_FLAGS, *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [f"m3cs {command}: error: {message}"]
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command, flag, lid", [
     ("finetune", "--finetune.layers", "2"),
     ("finetune", "--finetune.layers", "-3"),
@@ -526,6 +561,21 @@ def test_cli_reuses_run_config_beside_data_dir(tmp_path, capsys, extra):
     assert capsys.readouterr().err.strip().splitlines() == [
         "m3cs pretrain: error: data.points is ignored when --data.dir is set"]
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_data_dir_run_records_only_data_dir(trained, tmp_path):
+    # the generator's data.* settings do not describe a directory, so neither the run's
+    # config.json nor its checkpoint records them
+    data_dir = str(tmp_path / "data")
+    assert main(["gen-data", "--dir", data_dir, *TINY_FLAGS]) == 0
+    ft_dir = tmp_path / "ft"
+    assert main(["finetune", "--out-dir", str(ft_dir), "--checkpoint", trained["ckpt"],
+                 *RUN_FLAGS["finetune"], *TINY_MODEL_FLAGS, "--data.dir", data_dir]) == 0
+    config = json.loads((ft_dir / "config.json").read_text())
+    trailer = load_checkpoint(ft_dir / "finetune.ckpt")[1]
+    for saved in (config, trailer):
+        assert saved["data.dir"] == data_dir
+        assert [k for k in saved if k.startswith("data.")] == ["data.dir"]
 
 
 def test_cli_eval_and_fewshot_read_only_the_test_split(trained, tmp_path, capsys):

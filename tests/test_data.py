@@ -202,6 +202,15 @@ def test_xyz_malformed_number(tmp_path):
         load_xyz(path)
 
 
+@pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+def test_xyz_non_finite_number(tmp_path, word):
+    path = tmp_path / "g.xyz"
+    path.write_text(f"1 2 3\n4 {word} 6\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: non-finite coordinate in '4 {word} 6'")):
+        load_xyz(path)
+
+
 def test_xyz_empty_file(tmp_path):
     path = tmp_path / "f.xyz"
     path.write_text("")
