@@ -373,18 +373,12 @@ def take(a, idx, axis=0):
 
 
 def _row_max(x):
-    """x.max(axis=-1, keepdims=True), by halving the last axis with np.maximum.
-
-    A max is exact, so any pairing gives its value; NaN wins as in x.max.
-    """
-    m = x
-    while m.shape[-1] > 1:
-        h = m.shape[-1] // 2
-        half = np.maximum(m[..., :h], m[..., h:2 * h])
-        if m.shape[-1] % 2:
-            np.maximum(half[..., :1], m[..., 2 * h:], out=half[..., :1])
-        m = half
-    return m
+    """x.max(axis=-1, keepdims=True), as one np.maximum.reduce down the columns of a
+    C-contiguous copy of the rows. A max is exact, so any order gives its value; NaN
+    wins as in x.max."""
+    n = x.shape[-1]
+    cols = np.ascontiguousarray(x.reshape(-1, n).T)
+    return np.maximum.reduce(cols, axis=0).reshape(*x.shape[:-1], 1)
 
 
 def _softmax(x, out=None):
@@ -446,13 +440,10 @@ def attention(q, k, v, heads):
 
 
 def log_softmax(a):
-    x = a.data
-    m = x.max(axis=-1, keepdims=True)
-    z = x - m
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = Tensor(z - lse)
-    s = np.exp(z - lse)
-    return _record(out, (a,), lambda g: (g - s * g.sum(axis=-1, keepdims=True),))
+    z = a.data - _row_max(a.data)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    s = np.exp(z)
+    return _record(Tensor(z), (a,), lambda g: (g - s * g.sum(axis=-1, keepdims=True),))
 
 
 def layer_norm(a, gamma=None, beta=None, eps=1e-6):

@@ -88,14 +88,11 @@ def fps(cloud, g, start=0):
     chosen = np.empty(g, dtype=np.int64)
     chosen[0] = nxt = start
     dmin = np.full(n, np.inf)
-    sq, d = np.empty((3, n)), np.empty(n)
     for i in range(1, g):
-        # same rounding as ((pts - pts[nxt]) ** 2).sum(-1)
-        np.subtract(xyz, xyz[:, nxt:nxt + 1], out=sq)
-        np.square(sq, out=sq)
-        np.add(sq[0], sq[1], out=d)
-        d += sq[2]
-        np.minimum(dmin, d, out=dmin)
+        sq = xyz - xyz[:, nxt:nxt + 1]
+        sq *= sq
+        # the axis-0 sum adds the three rows in order: it rounds as ((pts - c) ** 2).sum(-1)
+        np.minimum(dmin, sq.sum(axis=0), out=dmin)
         chosen[i] = nxt = int(dmin.argmax())
     return chosen
 
