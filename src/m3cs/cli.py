@@ -11,7 +11,8 @@ from .checkpoint import load_checkpoint, model_state, save_checkpoint
 from .codebook import temperature
 from .config import RunConfig, dump_config, given_settings, load_config, to_flat
 from .data import _cloud_batch, gen_shapes, load_dataset, save_dataset
-from .finetune import FinetuneModel, evaluate, few_shot, finetune_loop, sample_episode
+from .finetune import (ClassifierHead, FinetuneModel, evaluate, few_shot, finetune_loop,
+                       sample_episode)
 from .pretrain import PretrainModel, make_mask, pretrain_loop
 from .rng import make_rng
 
@@ -123,11 +124,14 @@ def _refuse_below_one(cfg, *keys):
             raise ValueError(f"{key} must be at least 1, got {flat[key]}")
 
 
-def _refuse_bad_model(cfg, cloud):
-    """Build a pretrain model of cfg's settings and patch `cloud` as training does, so
-    that the constructors and the grouping refuse what they refuse (heads that do not
-    divide the width, T < 2, G or S above n_points) before anything is written."""
+def _refuse_bad_model(cfg, cloud, head=False):
+    """Build a pretrain model of cfg's settings (and with `head` a classifier head) and
+    patch `cloud` as training does, so that the constructors and the grouping refuse
+    what they refuse (heads that do not divide the width, T < 2, a dropout outside
+    [0, 1), G or S above n_points) before anything is written."""
     PretrainModel(make_rng(0), cfg.model)
+    if head:
+        ClassifierHead(make_rng(0), 1, 1, 1, cfg.finetune.dropout)
     _cloud_batch([cloud], cfg.model, make_rng(0))
 
 
@@ -193,7 +197,7 @@ def cmd_finetune(cfg, given):
                       *MODEL_SIZES)
     init_arrays, cfg = _initial_weights("finetune", cfg, given, cfg.finetune.layers)
     train, test = _dataset(cfg, "train"), _dataset(cfg, "test")
-    _refuse_bad_model(cfg, train.items[0][0])
+    _refuse_bad_model(cfg, train.items[0][0], head=True)
     _prepare_out(cfg)
     metrics_path = os.path.join(cfg.out_dir, "finetune_metrics.csv")
     model, _, test_acc = finetune_loop(
@@ -224,7 +228,7 @@ def cmd_fewshot(cfg, given):
     test = _dataset(cfg, "test")
     # the first episode's way and query checks, before anything is written
     sample_episode(test, fs.way, fs.shot, fs.query, make_rng(cfg.seed, 20))
-    _refuse_bad_model(cfg, test.items[0][0])
+    _refuse_bad_model(cfg, test.items[0][0], head=True)
     _prepare_out(cfg)
     ep_cfg = dataclasses.replace(cfg.finetune, steps=fs.steps, lr=fs.lr, layers=fs.layers)
     records, mean, std = few_shot(test, fs.way, fs.shot, fs.runs, cfg.model,

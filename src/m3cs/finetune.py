@@ -66,6 +66,8 @@ class ClassifierHead(Module):
     """3-layer MLP with dropout on the hidden activations."""
 
     def __init__(self, rng, d_in, hidden, n_classes, dropout=0.2):
+        if not 0 <= dropout < 1:  # at 1 it divides by 0; above 1 it drops all, below 0 none
+            raise ValueError(f"finetune.dropout must be in [0, 1), got {dropout}")
         self.fc1 = Linear(rng, d_in, hidden)
         self.fc2 = Linear(rng, hidden, hidden)
         self.fc3 = Linear(rng, hidden, n_classes)
@@ -109,6 +111,8 @@ def finetune_step(model, opt, clouds, labels, mcfg, fcfg, rng):
     groups, centers = _cloud_batch(clouds, mcfg, rng, train=True)
     logits = model.forward(groups, centers, layers=fcfg.layers, rng=rng, training=True)
     loss = cross_entropy(logits, labels)
+    if not np.isfinite(loss.data):
+        raise FloatingPointError(f"non-finite loss: {loss.item()}")
     acc = float((logits.data.argmax(axis=-1) == np.asarray(labels)).mean())
     ad.backward(loss)
     opt.step()

@@ -656,6 +656,12 @@ def _old_softmax(x):
     return z
 
 
+def _old_log_softmax(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z - lse, np.exp(z - lse)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 32, 33])
 def test_row_max_and_softmax_equal_the_reduction(n):
     x = make_rng(56).normal(size=(6, n)).astype(np.float32) * 4
@@ -670,6 +676,12 @@ def test_row_max_and_softmax_equal_the_reduction(n):
         owned = x.copy()
         assert ad._softmax(owned, out=owned) is owned
         np.testing.assert_array_equal(owned, _old_softmax(x))
+        out = ad.log_softmax(Tensor(x, requires_grad=True))
+        g = make_rng(57).normal(size=x.shape).astype(np.float32)
+        (ga,) = ad._state.graph[-1].vjp(g)
+        ref, s = _old_log_softmax(x)
+        assert out.data.tobytes() == ref.tobytes()
+        assert ga.tobytes() == (g - s * g.sum(axis=-1, keepdims=True)).tobytes()
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2, -1])

@@ -464,12 +464,19 @@ def test_cli_pretrain_refuses_bad_setting_before_writing(tmp_path, capsys, flag,
     ("finetune", ["--finetune.hidden", "0"], "finetune.hidden must be at least 1, got 0"),
     ("finetune", ["--model.s", "600"], "group: S=600 exceeds cloud size 64"),
     ("fewshot", ["--model.heads", "0"], "model.heads must be at least 1, got 0"),
+    ("finetune", ["--finetune.dropout", "1"], "finetune.dropout must be in [0, 1), got 1.0"),
+    ("finetune", ["--finetune.dropout", "1.5"], "finetune.dropout must be in [0, 1), got 1.5"),
+    ("finetune", ["--finetune.dropout", "-0.5"],
+     "finetune.dropout must be in [0, 1), got -0.5"),
+    ("fewshot", ["--finetune.dropout", "1.5"], "finetune.dropout must be in [0, 1), got 1.5"),
 ], ids=["heads0", "c0", "enc_depth0", "s0", "n_points0", "heads5", "t1", "n_points3",
         "g600", "tau_start0", "tau_end-1", "finetune-hidden0", "finetune-s600",
-        "fewshot-heads0"])
+        "fewshot-heads0", "finetune-dropout1", "finetune-dropout1.5",
+        "finetune-dropout-0.5", "fewshot-dropout1.5"])
 def test_cli_refuses_bad_model_setting_before_writing(tmp_path, capsys, command, flags,
                                                       message):
-    # model and head sizes, and the temperatures, are refused before any file is written
+    # model and head sizes, the head's dropout and the temperatures are refused before
+    # any file is written
     start = {"pretrain": ["--steps", "1", "--batch-size", "2"],
              "finetune": ["--from-scratch", *RUN_FLAGS["finetune"]],
              "fewshot": ["--from-scratch", *RUN_FLAGS["fewshot"]]}[command]

@@ -357,6 +357,33 @@ def test_finetune_step_keeps_nothing_on_its_clouds(fps_calls):
         assert all(c._derived == {} for c in clouds)
 
 
+def test_finetune_step_refuses_non_finite_loss_before_the_update():
+    fcfg = FinetuneConfig(batch_size=4, layers=(1,))
+    train = four_class_dataset(1, 26)
+    clouds, labels = [c for c, _ in train.items], [l for _, l in train.items]
+    model = FinetuneModel(make_rng(27), TINY, n_classes=4)
+    opt = AdamW(trainable_params(model, fcfg), lr=fcfg.lr, total_steps=2)
+    finetune_mod.finetune_step(model, opt, clouds, labels, TINY, fcfg, make_rng(28, 0))
+    model.head.fc3.b.data[0] = np.nan
+    before = [(k, p.data.copy()) for k, p in opt.params.items()]
+    moments = [(k, opt.m[k].copy(), opt.v[k].copy()) for k in opt.params]
+    with pytest.raises(FloatingPointError, match="non-finite loss: nan"):
+        finetune_mod.finetune_step(model, opt, clouds, labels, TINY, fcfg, make_rng(28, 1))
+    assert opt.step_count == 1
+    for k, data in before:
+        assert opt.params[k].data.tobytes() == data.tobytes(), k
+    for k, m, v in moments:
+        assert opt.m[k].tobytes() == m.tobytes() and opt.v[k].tobytes() == v.tobytes(), k
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.5, float("nan")])
+def test_classifier_head_refuses_dropout_outside_unit_interval(rate):
+    with pytest.raises(ValueError, match=r"finetune.dropout must be in \[0, 1\)"):
+        ClassifierHead(make_rng(25), d_in=48, hidden=32, n_classes=5, dropout=rate)
+    with pytest.raises(ValueError, match=r"finetune.dropout must be in \[0, 1\)"):
+        FinetuneModel(make_rng(25), TINY, n_classes=4, dropout=rate)
+
+
 def test_evaluate_refuses_empty_dataset():
     model = FinetuneModel(make_rng(21), TINY, n_classes=4)
     empty = Dataset(items=[], class_names=list("abcd"), split="test")
