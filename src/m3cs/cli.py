@@ -11,9 +11,8 @@ from .checkpoint import load_checkpoint, model_state, save_checkpoint
 from .codebook import temperature
 from .config import RunConfig, dump_config, given_settings, load_config, to_flat
 from .data import _cloud_batch, gen_shapes, load_dataset, save_dataset
-from .finetune import (ClassifierHead, FinetuneModel, evaluate, few_shot, finetune_loop,
-                       sample_episode)
-from .pretrain import PretrainModel, make_mask, pretrain_loop
+from .finetune import FinetuneModel, evaluate, few_shot, finetune_loop
+from .pretrain import PretrainModel, pretrain_loop
 from .rng import make_rng
 
 # per-command shorthand flags mapping onto dotted config keys
@@ -124,17 +123,6 @@ def _refuse_below_one(cfg, *keys):
             raise ValueError(f"{key} must be at least 1, got {flat[key]}")
 
 
-def _refuse_bad_model(cfg, cloud, head=False):
-    """Build a pretrain model of cfg's settings (and with `head` a classifier head) and
-    patch `cloud` as training does, so that the constructors and the grouping refuse
-    what they refuse (heads that do not divide the width, T < 2, a dropout outside
-    [0, 1), G or S above n_points) before anything is written."""
-    PretrainModel(make_rng(0), cfg.model)
-    if head:
-        ClassifierHead(make_rng(0), 1, 1, 1, cfg.finetune.dropout)
-    _cloud_batch([cloud], cfg.model, make_rng(0))
-
-
 def cmd_gen_data(cfg, given):
     out = cfg.data.dir or os.path.join(cfg.out_dir, "data")
     train, test = _generate(cfg, "train"), _generate(cfg, "test")
@@ -145,17 +133,17 @@ def cmd_gen_data(cfg, given):
 
 
 def cmd_pretrain(cfg, given):
-    m, p = cfg.model, cfg.pretrain
-    # step 0's checks, the last step's temperature, the model's checks, and a run with no
-    # steps or batch, refused before anything is written
+    p = cfg.pretrain
     _refuse_below_one(cfg, "pretrain.steps", "pretrain.batch_size", *MODEL_SIZES)
-    for step in (0, p.steps - 1):  # both schedules are monotone, so their ends bound tau
-        tau = temperature(step, p.steps, p.tau_schedule, p.tau_start, p.tau_end)
-        if tau <= 0:
-            raise ValueError(f"quantizer temperature must be positive, got {tau}")
-    make_mask(p.mask_kind, m.g, p.mask_ratio, make_rng(0), centers=[(0.0, 0.0, 0.0)] * m.g)
+    # step 0 is rehearsed below; both schedules are monotone, so the two ends bound tau
+    tau = temperature(p.steps - 1, p.steps, p.tau_schedule, p.tau_start, p.tau_end)
+    if tau <= 0:
+        raise ValueError(f"quantizer temperature must be positive, got {tau}")
     train = _dataset(cfg, "train")
-    _refuse_bad_model(cfg, train.items[0][0])
+    # the run's first step on one cloud, writing nothing, refuses what the run would
+    # refuse before anything is written; every rng is keyed by step, so the run is unchanged
+    pretrain_loop(train, cfg.model, dataclasses.replace(p, steps=1, batch_size=1),
+                  seed=cfg.seed)
     _prepare_out(cfg)
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
     model, _, _, metrics = pretrain_loop(
@@ -197,7 +185,10 @@ def cmd_finetune(cfg, given):
                       *MODEL_SIZES)
     init_arrays, cfg = _initial_weights("finetune", cfg, given, cfg.finetune.layers)
     train, test = _dataset(cfg, "train"), _dataset(cfg, "test")
-    _refuse_bad_model(cfg, train.items[0][0], head=True)
+    # the first step rehearsed, as in cmd_pretrain
+    finetune_loop(train, None, cfg.model,
+                  dataclasses.replace(cfg.finetune, steps=1, batch_size=1),
+                  seed=cfg.seed, init_arrays=init_arrays)
     _prepare_out(cfg)
     metrics_path = os.path.join(cfg.out_dir, "finetune_metrics.csv")
     model, _, test_acc = finetune_loop(
@@ -225,15 +216,13 @@ def cmd_fewshot(cfg, given):
     _refuse_below_one(cfg, "fewshot.runs", "fewshot.way", "fewshot.shot", "fewshot.steps",
                       "finetune.batch_size", "finetune.hidden", *MODEL_SIZES)
     init_arrays, cfg = _initial_weights("fewshot", cfg, given, fs.layers)
-    test = _dataset(cfg, "test")
-    # the first episode's way and query checks, before anything is written
-    sample_episode(test, fs.way, fs.shot, fs.query, make_rng(cfg.seed, 20))
-    _refuse_bad_model(cfg, test.items[0][0], head=True)
-    _prepare_out(cfg)
     ep_cfg = dataclasses.replace(cfg.finetune, steps=fs.steps, lr=fs.lr, layers=fs.layers)
-    records, mean, std = few_shot(test, fs.way, fs.shot, fs.runs, cfg.model,
-                                  ep_cfg, seed=cfg.seed, query=fs.query,
+    # the run streams nothing, so it runs whole, and refuses what it refuses, before
+    # anything is written
+    records, mean, std = few_shot(_dataset(cfg, "test"), fs.way, fs.shot, fs.runs,
+                                  cfg.model, ep_cfg, seed=cfg.seed, query=fs.query,
                                   init_arrays=init_arrays)
+    _prepare_out(cfg)
     report = os.path.join(cfg.out_dir, "fewshot.csv")
     with open(report, "w", newline="") as fh:
         writer = csv.writer(fh)
