@@ -592,20 +592,27 @@ def mean_reduce(a, axis=None):
 
 
 def smooth_l1(x, y, beta=1.0):
-    """Mean smooth-l1: 0.5*d^2/beta where |d| < beta, |d| - 0.5*beta elsewhere."""
+    """Mean smooth-l1: 0.5*d^2/beta where |d| < beta, |d| - 0.5*beta elsewhere. beta = 0
+    is the L1 limit, with no quadratic part."""
+    if not beta >= 0:
+        raise ValueError(f"smooth_l1 needs beta >= 0, got {beta}")
     x, y = as_tensor(x), as_tensor(y)
     if x.shape != y.shape:
         raise ShapeError(f"smooth_l1: shapes differ, {list(x.shape)} vs {list(y.shape)}")
     d = x.data - y.data
     ad = np.abs(d)
     quad = ad < beta
-    vals = np.where(quad, 0.5 * d * d / beta, ad - 0.5 * beta)
+    vals = ad - 0.5 * beta
+    # divided only where it applies, so beta = 0 divides nothing
+    np.divide(0.5 * d * d, beta, out=vals, where=quad)
     out = Tensor(vals.mean())
     n = d.size
     want_x, want_y = _wants(x), _wants(y)
 
     def vjp(g):
-        gd = np.where(quad, d / beta, np.sign(d)) * (g / n)
+        gd = np.sign(d)
+        np.divide(d, beta, out=gd, where=quad)
+        gd = gd * (g / n)
         return (gd if want_x else None), (-gd if want_y else None)
 
     return _record(out, (x, y), vjp)

@@ -24,8 +24,8 @@ ALIASES = {
 }
 # refused below one by every command that builds a model; the constructors and the
 # grouping refuse the other bad sizes themselves
-MODEL_SIZES = ("model.c", "model.heads", "model.enc_depth", "model.g", "model.s",
-               "model.n_points")
+MODEL_SIZES = ("model.c", "model.heads", "model.enc_depth", "model.dec_depth", "model.g",
+               "model.s", "model.n_points")
 
 
 def _parse_overrides(command, extra):

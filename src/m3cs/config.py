@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -116,7 +117,8 @@ _ACCEPTS = {int: (int,), float: (int, float), str: (str,)}  # besides a string t
 
 def _coerce(key, default, value):
     """value as default's type. A string is parsed and a list coerced item by item; any
-    other value that is not of that type (a bool or 1.5 for an integer, say) is refused."""
+    other value that is not of that type (a bool or 1.5 for an integer, say), and a
+    number that is not finite, is refused."""
     kind = type(default)
     if kind is tuple:
         if isinstance(value, str):
@@ -126,11 +128,15 @@ def _coerce(key, default, value):
     elif kind is bool:
         if str(value).lower() in _BOOLS:
             return _BOOLS[str(value).lower()]
-    elif isinstance(value, str):
-        with contextlib.suppress(ValueError):
-            return kind(value)
-    elif isinstance(value, _ACCEPTS[kind]) and not isinstance(value, bool):
-        return kind(value)
+    else:
+        if isinstance(value, str):
+            with contextlib.suppress(ValueError):
+                value = kind(value)
+        if isinstance(value, _ACCEPTS[kind]) and not isinstance(value, bool):
+            value = kind(value)
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"config key '{key}': expected a finite number, got {value!r}")
+            return value
     raise ValueError(f"config key '{key}': expected {_EXPECTED[kind]}, got {value!r}")
 
 

@@ -98,6 +98,9 @@ class EmaState:
 
 
 def init_teacher(model, lam_start=0.996, lam_end=1.0):
+    for name, lam in (("lam_start", lam_start), ("lam_end", lam_end)):
+        if not 0 <= lam <= 1:
+            raise ValueError(f"pretrain.{name} must be in [0, 1], got {lam}")
     enc = copy.deepcopy(model.encoder)
     for p in enc.named_tensors().values():
         p.requires_grad = False

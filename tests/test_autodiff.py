@@ -264,6 +264,45 @@ def test_smooth_l1_gradcheck_random_shape(shape, beta, seed):
         assert gradcheck(lambda: ad.smooth_l1(x, y, beta=beta), [x, y], rtol=1e-4) < 1e-4
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("beta", [0.05, 0.5, 1.0, 3.0])
+def test_smooth_l1_equals_the_where_formula_bitwise(dtype, beta):
+    # the quadratic part is computed only where |d| < beta; its values, the mean and the
+    # VJP keep the bits of the formula that computes both branches everywhere
+    rng = make_rng(int(beta * 100))
+    with precision(dtype):
+        x = Tensor(rng.normal(size=(4, 7, 9)), requires_grad=True)
+        y = Tensor(rng.normal(size=(4, 7, 9)), requires_grad=True)
+        loss = ad.smooth_l1(x, y, beta)
+        backward(loss)
+    d = x.data - y.data
+    quad = np.abs(d) < beta
+    assert 0 < quad.sum() < d.size
+    want = np.where(quad, 0.5 * d * d / beta, np.abs(d) - 0.5 * beta).mean()
+    gd = np.where(quad, d / beta, np.sign(d)) * (np.ones((), dtype) / d.size)
+    assert loss.data.dtype == want.dtype and loss.data.tobytes() == want.tobytes()
+    assert x.grad.dtype == gd.dtype and x.grad.tobytes() == gd.tobytes()
+    assert y.grad.tobytes() == (-gd).tobytes()
+
+
+def test_smooth_l1_at_beta_zero_is_l1():
+    # the L1 limit, with no division by beta; a warning fails the test
+    x, y = rand(3, 5, seed=4), rand(3, 5, seed=5)
+    loss = ad.smooth_l1(x, y, beta=0.0)
+    backward(loss)
+    d = x.data - y.data
+    np.testing.assert_array_equal(loss.data, np.abs(d).mean())
+    np.testing.assert_array_equal(x.grad, np.sign(d) / d.size)
+    np.testing.assert_array_equal(y.grad, -np.sign(d) / d.size)
+
+
+@pytest.mark.parametrize("beta", [-1.0, -1e-9, float("nan")])
+def test_smooth_l1_refuses_negative_beta(beta):
+    # below 0 it returned L1 plus 0.5|beta|
+    with pytest.raises(ValueError, match=r"smooth_l1 needs beta >= 0, got"):
+        ad.smooth_l1(rand(3, seed=6), rand(3, seed=7), beta=beta)
+
+
 def test_loss_off_the_tape_gets_no_grad():
     x = rand(3, seed=12)
     ad.mul(x, x)  # the tape is not empty, but nothing on it produced the loss

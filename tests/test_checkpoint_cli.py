@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from m3cs.checkpoint import load_checkpoint, model_state, save_checkpoint
-from m3cs.cli import main
+from m3cs.cli import _dataset, main
 from m3cs.config import (
     ModelConfig,
     PAPER_SHAPE,
@@ -17,6 +18,8 @@ from m3cs.config import (
     load_config,
     to_flat,
 )
+from m3cs.finetune import few_shot, finetune_loop
+from m3cs.pretrain import pretrain_loop
 from m3cs.rng import make_rng
 
 # two encoder blocks, so the fine-tune head reads layer 1, the last one
@@ -94,8 +97,14 @@ def test_config_file_plus_overrides(tmp_path):
      "config key 'finetune.layers': expected an integer, got 2.5"),
     ('{"out_dir": 3}', "config key 'out_dir': expected a string, got 3"),
     ("[1, 2]", "{path}: expected a JSON object"),
+    ('{"pretrain.eta": NaN}', "config key 'pretrain.eta': expected a finite number, got nan"),
+    ('{"pretrain.lr": Infinity}',
+     "config key 'pretrain.lr': expected a finite number, got inf"),
+    ('{"pretrain.tau_end": -Infinity}',
+     "config key 'pretrain.tau_end': expected a finite number, got -inf"),
 ], ids=["c-list", "c-null", "c-float", "c-bool", "steps-float", "steps-bool", "lr-bool",
-        "layers-int", "layers-float-item", "out_dir-int", "top-level-list"])
+        "layers-int", "layers-float-item", "out_dir-int", "top-level-list", "eta-nan",
+        "lr-inf", "tau_end-minus-inf"])
 def test_cli_refuses_config_value_of_wrong_type(tmp_path, capsys, text, message):
     # the config is read before any command runs, so eval needs no checkpoint here
     path = tmp_path / "cfg.json"
@@ -108,10 +117,16 @@ def test_cli_refuses_config_value_of_wrong_type(tmp_path, capsys, text, message)
 
 
 def test_cli_refuses_flag_of_wrong_type(capsys):
-    rc = main(["eval", "--model.c", "1.5"])
-    assert rc == 1
-    assert capsys.readouterr().err.strip().splitlines() == [
-        "m3cs eval: error: config key 'model.c': expected an integer, got '1.5'"]
+    for key, value, message in [
+        ("model.c", "1.5", "expected an integer, got '1.5'"),
+        ("pretrain.eta", "nan", "expected a finite number, got nan"),
+        ("pretrain.tau_end", "inf", "expected a finite number, got inf"),
+        ("pretrain.lr", "-inf", "expected a finite number, got -inf"),
+    ]:
+        rc = main(["eval", f"--{key}", value])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"m3cs eval: error: config key '{key}': {message}"]
 
 
 @pytest.mark.parametrize("preset", ["desk", "paper"])
@@ -235,7 +250,13 @@ def test_cli_finetune_on_data_dir_matches_in_memory_run(trained, tmp_path):
         assert (ft_dir / "finetune_metrics.csv").read_bytes() == fh.read()
 
 
-def test_cli_pretrain_outputs(trained):
+def _assert_same_tensors(saved, model_tensors):
+    assert saved.keys() == model_tensors.keys()
+    for name, value in model_tensors.items():
+        assert saved[name].dtype == value.dtype and saved[name].tobytes() == value.tobytes()
+
+
+def test_cli_pretrain_outputs(trained, tmp_path):
     pre_dir = trained["pre_dir"]
     assert os.path.exists(trained["ckpt"])
     with open(os.path.join(pre_dir, "metrics.csv")) as fh:
@@ -246,14 +267,31 @@ def test_cli_pretrain_outputs(trained):
         cfg = json.load(fh)
     assert cfg["model.c"] == 16
     assert cfg["pretrain.steps"] == 3
+    # the first step the command rehearses before writing leaves no trace on its run:
+    # the library's run of the same settings gives the same rows and weights, bit for bit
+    cfg = load_config(os.path.join(pre_dir, "config.json"))
+    model, _, _, _ = pretrain_loop(_dataset(cfg, "train"), cfg.model, cfg.pretrain,
+                                   seed=cfg.seed, metrics_path=str(tmp_path / "m.csv"))
+    with open(os.path.join(pre_dir, "metrics.csv"), "rb") as fh:
+        assert (tmp_path / "m.csv").read_bytes() == fh.read()
+    _assert_same_tensors(load_checkpoint(trained["ckpt"])[0], model_state(model, "student."))
 
 
-def test_cli_finetune_outputs(trained):
+def test_cli_finetune_outputs(trained, tmp_path):
     ft_dir = trained["ft_dir"]
     assert os.path.exists(os.path.join(ft_dir, "finetune.ckpt"))
     tensors, cfg = load_checkpoint(os.path.join(ft_dir, "finetune.ckpt"))
     assert cfg["n_classes"] == 4
     assert any(k.startswith("model.head.") for k in tensors)
+    # as in test_cli_pretrain_outputs; the rehearsed step must not move the initial weights
+    cfg = load_config(os.path.join(ft_dir, "config.json"))
+    init = {k[len("student."):]: v for k, v in load_checkpoint(trained["ckpt"])[0].items()}
+    model, _, _ = finetune_loop(_dataset(cfg, "train"), _dataset(cfg, "test"), cfg.model,
+                                cfg.finetune, seed=cfg.seed, init_arrays=init,
+                                metrics_path=str(tmp_path / "m.csv"))
+    with open(os.path.join(ft_dir, "finetune_metrics.csv"), "rb") as fh:
+        assert (tmp_path / "m.csv").read_bytes() == fh.read()
+    _assert_same_tensors(tensors, model_state(model, "model."))
 
 
 @pytest.mark.parametrize("command", ["finetune", "fewshot"])
@@ -305,6 +343,15 @@ def test_cli_fewshot(trained, tmp_path, capsys):
     accs = [float(l.split(",")[2]) for l in lines[1:3]]
     assert mean == pytest.approx(np.mean(accs), abs=1e-6)
     assert std == pytest.approx(np.std(accs), abs=1e-6)
+    # the command's accuracies are the library's, episode by episode
+    cfg = load_config(os.path.join(out_dir, "config.json"))
+    fs = cfg.fewshot
+    init = {k[len("student."):]: v for k, v in load_checkpoint(trained["ckpt"])[0].items()}
+    records, _, _ = few_shot(_dataset(cfg, "test"), fs.way, fs.shot, fs.runs, cfg.model,
+                             dataclasses.replace(cfg.finetune, steps=fs.steps, lr=fs.lr,
+                                                 layers=fs.layers),
+                             seed=cfg.seed, query=fs.query, init_arrays=init)
+    assert [l.split(",")[2] for l in lines[1:3]] == [f"{r['accuracy']:.6f}" for r in records]
 
 
 def test_cli_runs_from_checkpoint_with_teacher_and_optimizer_state(trained, tmp_path,
@@ -434,7 +481,11 @@ def test_cli_refuses_data_flags_without_data_dir(trained, capsys, command, kind)
     ("mask_ratio", "1.5", "mask ratio must be in (0,1), got 1.5"),
     ("steps", "0", "pretrain.steps must be at least 1, got 0"),
     ("batch_size", "0", "pretrain.batch_size must be at least 1, got 0"),
-], ids=["tau_schedule", "mask_kind", "mask_ratio", "steps", "batch_size"])
+    ("beta", "-1", "smooth_l1 needs beta >= 0, got -1.0"),
+    ("lam_start", "5", "pretrain.lam_start must be in [0, 1], got 5.0"),
+    ("lam_end", "-1", "pretrain.lam_end must be in [0, 1], got -1.0"),
+], ids=["tau_schedule", "mask_kind", "mask_ratio", "steps", "batch_size", "beta-1",
+        "lam_start5", "lam_end-1"])
 def test_cli_pretrain_refuses_bad_setting_before_writing(tmp_path, capsys, flag, value,
                                                          message):
     out_dir = tmp_path / "p"
@@ -451,6 +502,7 @@ def test_cli_pretrain_refuses_bad_setting_before_writing(tmp_path, capsys, flag,
     ("pretrain", ["--model.heads", "0"], "model.heads must be at least 1, got 0"),
     ("pretrain", ["--model.c", "0"], "model.c must be at least 1, got 0"),
     ("pretrain", ["--model.enc_depth", "0"], "model.enc_depth must be at least 1, got 0"),
+    ("pretrain", ["--model.dec_depth", "0"], "model.dec_depth must be at least 1, got 0"),
     ("pretrain", ["--model.s", "0"], "model.s must be at least 1, got 0"),
     ("pretrain", ["--model.n_points", "0"], "model.n_points must be at least 1, got 0"),
     ("pretrain", ["--model.heads", "5"], "width 16 not divisible by 5 heads"),
@@ -469,7 +521,7 @@ def test_cli_pretrain_refuses_bad_setting_before_writing(tmp_path, capsys, flag,
     ("finetune", ["--finetune.dropout", "-0.5"],
      "finetune.dropout must be in [0, 1), got -0.5"),
     ("fewshot", ["--finetune.dropout", "1.5"], "finetune.dropout must be in [0, 1), got 1.5"),
-], ids=["heads0", "c0", "enc_depth0", "s0", "n_points0", "heads5", "t1", "n_points3",
+], ids=["heads0", "c0", "enc_depth0", "dec_depth0", "s0", "n_points0", "heads5", "t1", "n_points3",
         "g600", "tau_start0", "tau_end-1", "finetune-hidden0", "finetune-s600",
         "fewshot-heads0", "finetune-dropout1", "finetune-dropout1.5",
         "finetune-dropout-0.5", "fewshot-dropout1.5"])

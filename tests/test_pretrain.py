@@ -222,6 +222,23 @@ def test_ema_lambda_schedule():
     assert lam_at(t, 0, 1) == 1.0
 
 
+@pytest.mark.parametrize("lam_start, lam_end, message", [
+    (5.0, 1.0, "pretrain.lam_start must be in [0, 1], got 5.0"),
+    (-0.5, 1.0, "pretrain.lam_start must be in [0, 1], got -0.5"),
+    (0.996, -1.0, "pretrain.lam_end must be in [0, 1], got -1.0"),
+    (0.996, 1.5, "pretrain.lam_end must be in [0, 1], got 1.5"),
+    (0.996, float("nan"), "pretrain.lam_end must be in [0, 1], got nan"),
+], ids=["start5", "start-0.5", "end-1", "end1.5", "end-nan"])
+def test_init_teacher_refuses_lambda_outside_unit_interval(lam_start, lam_end, message):
+    # outside [0, 1] the EMA extrapolates: the teacher grows without bound
+    model = tiny_model()
+    with pytest.raises(ValueError) as info:
+        init_teacher(model, lam_start=lam_start, lam_end=lam_end)
+    assert str(info.value) == message
+    for lam in (0.0, 1.0):  # both ends are EMAs: a copy of the student, a frozen teacher
+        init_teacher(model, lam_start=lam, lam_end=lam)
+
+
 def test_ema_teacher_starts_as_copy_and_is_frozen():
     model = tiny_model()
     teacher = init_teacher(model)
