@@ -93,7 +93,9 @@ def _load_model(cfg, given, prefix, sections):
     if not arrays:
         raise ValueError(f"{cfg.checkpoint}: no '{prefix}' tensors")
     n_classes = int(ck_cfg.pop("n_classes", 4))  # no config key
-    saved = load_config(overrides=ck_cfg)
+    # a key RunConfig no longer has names a retired setting, so older checkpoints still load
+    known = to_flat(RunConfig())
+    saved = load_config(overrides={k: v for k, v in ck_cfg.items() if k in known})
     ck = to_flat(saved)
     for key, value in to_flat(cfg).items():
         if key in given and key.split(".")[0] in sections and value != ck[key]:
@@ -135,8 +137,8 @@ def cmd_gen_data(cfg, given):
 def cmd_pretrain(cfg, given):
     p = cfg.pretrain
     _refuse_below_one(cfg, "pretrain.steps", "pretrain.batch_size", *MODEL_SIZES)
-    # step 0 is rehearsed below; both schedules are monotone, so the two ends bound tau
-    tau = temperature(p.steps - 1, p.steps, p.tau_schedule, p.tau_start, p.tau_end)
+    # step 0 is rehearsed below; the schedule is monotone, so the two ends bound tau
+    tau = temperature(p.steps - 1, p.steps, p.tau_start, p.tau_end)
     if tau <= 0:
         raise ValueError(f"quantizer temperature must be positive, got {tau}")
     train = _dataset(cfg, "train")

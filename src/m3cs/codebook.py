@@ -67,14 +67,10 @@ class Quantizer(Module):
         return logits.data.argmax(axis=-1)
 
 
-def temperature(step, total_steps, schedule="cosine", tau_start=1.0, tau_end=0.0625):
-    """Anneal the Gumbel-softmax temperature from tau_start down to tau_end."""
-    if schedule not in ("cosine", "constant"):
-        raise ValueError(f"unknown temperature schedule '{schedule}'")
+def temperature(step, total_steps, tau_start=1.0, tau_end=0.0625):
+    """Anneal the Gumbel-softmax temperature from tau_start down to tau_end by a cosine."""
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    if schedule == "constant":
-        return tau_start
     if total_steps == 0:
         return tau_end
     frac = 0.5 * (1.0 + math.cos(math.pi * step / total_steps))

@@ -35,7 +35,6 @@ class PretrainConfig:
     lam_end: float = 1.0
     tau_start: float = 1.0      # Gumbel-softmax temperature schedule
     tau_end: float = 0.0625
-    tau_schedule: str = "cosine"
 
 
 @dataclass
@@ -48,7 +47,6 @@ class FinetuneConfig:
     layers: tuple = (1, 3, 5)   # encoder hidden layers feeding HTA; -1 = last
     dropout: float = 0.2
     hidden: int = 256
-    freeze_codebook: bool = False
     from_scratch: bool = False
 
 

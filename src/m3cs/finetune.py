@@ -138,8 +138,7 @@ def evaluate(model, dataset, mcfg, fcfg, batch=32):
 
 
 def trainable_params(model, fcfg):
-    if fcfg.freeze_codebook:
-        model.codebook.entries.requires_grad = False
+    """The tensors fine-tuning trains: all of model's, its codebook (HTA's centroids) too."""
     return model.params()
 
 

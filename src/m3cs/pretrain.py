@@ -194,7 +194,7 @@ def train_step(model, teacher, opt, batch, step, mcfg, pcfg, seed):
     y = forward_targets(tokens, pos, mask, teacher)
     x, enc_vis = forward_student(model, tokens, pos, mask)
     l_align = align_loss(x, y, pcfg.beta)
-    tau = temperature(step, pcfg.steps, pcfg.tau_schedule, pcfg.tau_start, pcfg.tau_end)
+    tau = temperature(step, pcfg.steps, pcfg.tau_start, pcfg.tau_end)
     l_rec, qout = point_loss(model, x, enc_vis, pos, mask, groups, tau,
                              rng=make_rng(seed, 3, step), training=True)
     l_total = ad.add(l_align, ad.scalar_mul(l_rec, pcfg.eta))

@@ -380,6 +380,49 @@ def test_cli_runs_from_checkpoint_with_teacher_and_optimizer_state(trained, tmp_
         assert stdout[0] == stdout[1] and stdout[0]
 
 
+RETIRED = {"pretrain.tau_schedule": "cosine", "finetune.freeze_codebook": False}
+
+
+def test_cli_runs_from_checkpoint_that_names_retired_keys(trained, tmp_path, capsys):
+    # earlier checkpoints also record the retired settings pretrain.tau_schedule and
+    # finetune.freeze_codebook; the commands drop them, so such a file gives the same output
+    ft_ckpt = os.path.join(trained["ft_dir"], "finetune.ckpt")
+    runs = [("finetune", trained["ckpt"], [*RUN_FLAGS["finetune"], *TINY_FLAGS]),
+            ("inspect-codebook", trained["ckpt"], []), ("eval", ft_ckpt, [])]
+    for command, ckpt, flags in runs:
+        tensors, cfg = load_checkpoint(ckpt)
+        assert not RETIRED.keys() & cfg.keys()
+        old_ckpt = str(tmp_path / f"old-{command}.ckpt")
+        save_checkpoint(old_ckpt, tensors, {**cfg, **RETIRED})
+        out_dir = tmp_path / command
+        outputs = []
+        for path in (ckpt, old_ckpt):
+            assert main([command, "--out-dir", str(out_dir), "--checkpoint", path, *flags]) == 0
+            written = None
+            if command == "finetune":  # its config.json records the --checkpoint path
+                written = ((out_dir / "finetune_metrics.csv").read_bytes(),
+                           {k: v.tobytes() for k, v in
+                            load_checkpoint(str(out_dir / "finetune.ckpt"))[0].items()})
+            outputs.append((capsys.readouterr().out, written))
+        assert outputs[0] == outputs[1] and outputs[0][0]
+
+
+@pytest.mark.parametrize("command, key", [("pretrain", "pretrain.tau_schedule"),
+                                          ("finetune", "finetune.freeze_codebook")])
+def test_cli_refuses_config_that_names_retired_key(tmp_path, capsys, command, key):
+    # an earlier run's config.json names both retired keys; as --config it is refused
+    path = tmp_path / "config.json"
+    dump_config({**to_flat(RunConfig()), key: RETIRED[key]}, path)
+    out_dir = tmp_path / "o"
+    rc = main([command, "--config", str(path), "--out-dir", str(out_dir)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        f"m3cs {command}: error: \"unknown config key '{key}'\""]
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_cli_inspect_codebook(trained, capsys):
     rc = main(["inspect-codebook", "--checkpoint", trained["ckpt"]])
     assert rc == 0
@@ -476,7 +519,6 @@ def test_cli_refuses_data_flags_without_data_dir(trained, capsys, command, kind)
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("tau_schedule", "cosin", "unknown temperature schedule 'cosin'"),
     ("mask_kind", "blok", "unknown mask kind 'blok'"),
     ("mask_ratio", "1.5", "mask ratio must be in (0,1), got 1.5"),
     ("steps", "0", "pretrain.steps must be at least 1, got 0"),
@@ -484,8 +526,8 @@ def test_cli_refuses_data_flags_without_data_dir(trained, capsys, command, kind)
     ("beta", "-1", "smooth_l1 needs beta >= 0, got -1.0"),
     ("lam_start", "5", "pretrain.lam_start must be in [0, 1], got 5.0"),
     ("lam_end", "-1", "pretrain.lam_end must be in [0, 1], got -1.0"),
-], ids=["tau_schedule", "mask_kind", "mask_ratio", "steps", "batch_size", "beta-1",
-        "lam_start5", "lam_end-1"])
+], ids=["mask_kind", "mask_ratio", "steps", "batch_size", "beta-1", "lam_start5",
+        "lam_end-1"])
 def test_cli_pretrain_refuses_bad_setting_before_writing(tmp_path, capsys, flag, value,
                                                          message):
     out_dir = tmp_path / "p"
@@ -807,30 +849,6 @@ def test_cli_eval_missing_tensor(trained, tmp_path, capsys, command, kind, flags
         f"m3cs {command}: error: {path}: no tensor '{name}'"]
     assert captured.out == ""
     assert not out_dir.exists()
-
-
-def test_frozen_codebook_checkpoint_reload_gives_identical_logits(trained, tmp_path):
-    from m3cs.cli import _dataset, _load_model, _run_sections
-    from m3cs.data import _cloud_batch
-    from m3cs.finetune import finetune_loop
-
-    flags = {k[2:]: v for k, v in zip(TINY_FLAGS[::2], TINY_FLAGS[1::2])}
-    cfg = load_config(overrides={**flags, "finetune.steps": 3, "finetune.batch_size": 2,
-                                 "finetune.warmup": 1, "finetune.freeze_codebook": True})
-    train, test = _dataset(cfg, "train"), _dataset(cfg, "test")
-    cfg.checkpoint = trained["ckpt"]
-    arrays = model_state(_load_model(cfg, {}, "student.", ())[0], "")
-    model, _, _ = finetune_loop(train, None, cfg.model, cfg.finetune, seed=cfg.seed,
-                                init_arrays=arrays)
-    path = tmp_path / "frozen.ckpt"
-    save_checkpoint(path, model_state(model, "model."),
-                    {**to_flat(cfg), "n_classes": len(train.class_names)})
-    cfg.checkpoint = str(path)
-    reloaded, saved = _load_model(cfg, {}, "model.", _run_sections(cfg))
-    groups, centers = _cloud_batch([c for c, _ in test.items], saved.model, None, train=False)
-    want = model.forward(groups, centers, layers=saved.finetune.layers).data
-    got = reloaded.forward(groups, centers, layers=saved.finetune.layers).data
-    np.testing.assert_array_equal(got, want)
 
 
 def test_checkpoint_reload_gives_identical_logits(trained):

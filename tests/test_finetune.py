@@ -249,16 +249,6 @@ def test_load_params_refuses_shape_mismatch(shape):
         ft.load_params({"codebook.entries": np.zeros(shape)})
 
 
-def test_freeze_codebook_removes_entries():
-    model = FinetuneModel(make_rng(18), TINY, n_classes=2)
-    fcfg = FinetuneConfig(freeze_codebook=True)
-    params = trainable_params(model, fcfg)
-    assert "codebook.entries" not in params
-    assert not model.codebook.entries.requires_grad
-    # but vlad params stay trainable
-    assert "vlad_w" in params
-
-
 # ------------------------------------------------------------------- training
 
 
