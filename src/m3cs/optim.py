@@ -25,6 +25,9 @@ def lr_at(step, base_lr, total_steps, warmup=0):
 class AdamW:
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
                  weight_decay=0.05, total_steps=0, warmup=0):
+        for name, value in (("lr", lr), ("weight_decay", weight_decay), ("warmup", warmup)):
+            if not value >= 0:  # a negative one would train the wrong way
+                raise ValueError(f"AdamW needs {name} >= 0, got {value}")
         self.params = dict(params)  # name -> Tensor
         self.lr = lr
         self.betas = betas

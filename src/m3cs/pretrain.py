@@ -185,6 +185,8 @@ def point_loss(model, x, enc_vis, pos, mask, groups, tau, rng=None, training=Tru
 
 def train_step(model, teacher, opt, batch, step, mcfg, pcfg, seed):
     """One optimization step; returns the metrics record for the CSV stream."""
+    if not pcfg.eta >= 0:  # a negative weight would maximise the Chamfer loss
+        raise ValueError(f"pretrain.eta must be >= 0, got {pcfg.eta}")
     groups, centers = batch["groups"], batch["centers"]
     tokens, pos = model.embed(groups, centers)
     mask_rng = make_rng(seed, 2, step)

@@ -526,8 +526,12 @@ def test_cli_refuses_data_flags_without_data_dir(trained, capsys, command, kind)
     ("beta", "-1", "smooth_l1 needs beta >= 0, got -1.0"),
     ("lam_start", "5", "pretrain.lam_start must be in [0, 1], got 5.0"),
     ("lam_end", "-1", "pretrain.lam_end must be in [0, 1], got -1.0"),
+    ("lr", "-1", "AdamW needs lr >= 0, got -1.0"),
+    ("eta", "-1", "pretrain.eta must be >= 0, got -1.0"),
+    ("warmup", "-5", "AdamW needs warmup >= 0, got -5"),
+    ("weight_decay", "-1", "AdamW needs weight_decay >= 0, got -1.0"),
 ], ids=["mask_kind", "mask_ratio", "steps", "batch_size", "beta-1", "lam_start5",
-        "lam_end-1"])
+        "lam_end-1", "lr-1", "eta-1", "warmup-5", "weight_decay-1"])
 def test_cli_pretrain_refuses_bad_setting_before_writing(tmp_path, capsys, flag, value,
                                                          message):
     out_dir = tmp_path / "p"
@@ -563,14 +567,16 @@ def test_cli_pretrain_refuses_bad_setting_before_writing(tmp_path, capsys, flag,
     ("finetune", ["--finetune.dropout", "-0.5"],
      "finetune.dropout must be in [0, 1), got -0.5"),
     ("fewshot", ["--finetune.dropout", "1.5"], "finetune.dropout must be in [0, 1), got 1.5"),
+    ("finetune", ["--finetune.lr", "-1"], "AdamW needs lr >= 0, got -1.0"),
+    ("fewshot", ["--fewshot.lr", "-1"], "AdamW needs lr >= 0, got -1.0"),
 ], ids=["heads0", "c0", "enc_depth0", "dec_depth0", "s0", "n_points0", "heads5", "t1", "n_points3",
         "g600", "tau_start0", "tau_end-1", "finetune-hidden0", "finetune-s600",
         "fewshot-heads0", "finetune-dropout1", "finetune-dropout1.5",
-        "finetune-dropout-0.5", "fewshot-dropout1.5"])
+        "finetune-dropout-0.5", "fewshot-dropout1.5", "finetune-lr-1", "fewshot-lr-1"])
 def test_cli_refuses_bad_model_setting_before_writing(tmp_path, capsys, command, flags,
                                                       message):
-    # model and head sizes, the head's dropout and the temperatures are refused before
-    # any file is written
+    # model and head sizes, the head's dropout, the temperatures and the fine-tune rate
+    # are refused before any file is written
     start = {"pretrain": ["--steps", "1", "--batch-size", "2"],
              "finetune": ["--from-scratch", *RUN_FLAGS["finetune"]],
              "fewshot": ["--from-scratch", *RUN_FLAGS["fewshot"]]}[command]

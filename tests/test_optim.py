@@ -38,6 +38,14 @@ def test_decoupled_weight_decay_only():
     np.testing.assert_allclose(p.data, [2.0 * (1 - 0.005)], rtol=1e-6)
 
 
+@pytest.mark.parametrize("name", ["lr", "weight_decay", "warmup"])
+def test_adamw_refuses_negative_rate_and_takes_zero(name):
+    p = make_param([1.0])
+    with pytest.raises(ValueError, match=f"^AdamW needs {name} >= 0, got -1$"):
+        AdamW({"p": p}, **{name: -1})
+    AdamW({"p": p}, **{name: 0})
+
+
 def test_grad_shape_mismatch():
     p = make_param([1.0, 2.0])
     opt = AdamW({"p": p})

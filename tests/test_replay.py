@@ -1,14 +1,15 @@
-"""tools/replay.py still runs against the library, and prints the same lines each time.
+"""The tools still run against the library and the tests they import.
 
-Only self-consistency is checked, never a digest: replay compares two checkouts,
-which one checkout cannot do.
+tools/replay.py prints the same lines each time. Only self-consistency is checked,
+never a digest: replay compares two checkouts, which one checkout cannot do.
 """
 
 import os
 import subprocess
 import sys
 
-REPLAY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools", "replay.py")
+TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
+REPLAY = os.path.join(TOOLS, "replay.py")
 
 
 def test_replay_runs_and_repeats_itself(tmp_path):
@@ -20,3 +21,12 @@ def test_replay_runs_and_repeats_itself(tmp_path):
         assert proc.returncode == 0, proc.stderr
         lines.append(proc.stdout.splitlines())
     assert lines[0] and lines[0] == lines[1]
+
+
+def test_transfer_imports_its_protocol():
+    # tools/transfer.py imports criterion 6's protocol and bounds from
+    # tests/test_acceptance.py; importing it runs no experiment, as main is guarded
+    code = f"import sys; sys.path.insert(0, {TOOLS!r}); import transfer"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
