@@ -82,7 +82,7 @@ def _prepare_out(cfg):
 def _load_model(cfg, given, prefix, sections):
     """The model in checkpoint cfg.checkpoint, every tensor loaded, and cfg with every
     setting in `sections` taken from the checkpoint. `student.` tensors make a
-    PretrainModel, `model.` tensors a FinetuneModel with the saved n_classes.
+    PretrainModel, `model.` tensors a FinetuneModel with as many classes as its head has.
 
     A setting in `sections` that was given (preset, --config or flag) with another
     value than the checkpoint's is refused, and so is a tensor of the model that the
@@ -92,8 +92,7 @@ def _load_model(cfg, given, prefix, sections):
     arrays = {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
     if not arrays:
         raise ValueError(f"{cfg.checkpoint}: no '{prefix}' tensors")
-    n_classes = int(ck_cfg.pop("n_classes", 4))  # no config key
-    # a key RunConfig no longer has names a retired setting, so older checkpoints still load
+    # older trailers hold keys RunConfig lacks: retired settings and the head's class count
     known = to_flat(RunConfig())
     saved = load_config(overrides={k: v for k, v in ck_cfg.items() if k in known})
     ck = to_flat(saved)
@@ -104,7 +103,8 @@ def _load_model(cfg, given, prefix, sections):
     if prefix == "student.":
         model = PretrainModel(make_rng(cfg.seed, 0), cfg.model)
     else:
-        model = FinetuneModel(make_rng(cfg.seed, 10), cfg.model, n_classes,
+        model = FinetuneModel(make_rng(cfg.seed, 10), cfg.model,
+                              getattr(arrays.get("head.fc3.b"), "size", 0),
                               hidden=cfg.finetune.hidden, dropout=cfg.finetune.dropout)
     missing = [k for k in model.named_tensors() if k not in arrays]
     if missing:
@@ -197,8 +197,7 @@ def cmd_finetune(cfg, given):
         train, test, cfg.model, cfg.finetune, seed=cfg.seed,
         init_arrays=init_arrays, metrics_path=metrics_path, log_every=50)
     out_ckpt = os.path.join(cfg.out_dir, "finetune.ckpt")
-    save_checkpoint(out_ckpt, model_state(model, "model."),
-                    {**_snapshot(cfg), "n_classes": len(train.class_names)})
+    save_checkpoint(out_ckpt, model_state(model, "model."), _snapshot(cfg))
     print(f"test accuracy: {test_acc:.4f}")
     print(f"checkpoint: {out_ckpt}")
     return 0

@@ -143,10 +143,9 @@ def trainable_params(model, fcfg):
 
 
 def finetune_loop(train_ds, test_ds, mcfg, fcfg, seed=0, init_arrays=None,
-                  n_classes=None, metrics_path=None, log_every=0):
+                  metrics_path=None, log_every=0):
     """Supervised fine-tuning; returns (model, history, final test accuracy)."""
-    n_classes = n_classes or len(train_ds.class_names)
-    model = FinetuneModel(make_rng(seed, 10), mcfg, n_classes,
+    model = FinetuneModel(make_rng(seed, 10), mcfg, len(train_ds.class_names),
                           hidden=fcfg.hidden, dropout=fcfg.dropout)
     if init_arrays is not None:
         model.load_params(init_arrays)
@@ -208,8 +207,7 @@ def few_shot(dataset, way, shot, runs, mcfg, fcfg, seed=0, query=20, init_arrays
         ep_seed = seed + run
         episode = sample_episode(dataset, way, shot, query, make_rng(ep_seed, 20))
         _, _, acc = finetune_loop(episode.support, episode.query, mcfg, fcfg,
-                                  seed=ep_seed, init_arrays=init_arrays,
-                                  n_classes=way)
+                                  seed=ep_seed, init_arrays=init_arrays)
         records.append({"run": run, "seed": ep_seed, "accuracy": acc})
     accs = np.array([r["accuracy"] for r in records])
     return records, float(accs.mean()), float(accs.std())

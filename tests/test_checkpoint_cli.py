@@ -281,7 +281,8 @@ def test_cli_finetune_outputs(trained, tmp_path):
     ft_dir = trained["ft_dir"]
     assert os.path.exists(os.path.join(ft_dir, "finetune.ckpt"))
     tensors, cfg = load_checkpoint(os.path.join(ft_dir, "finetune.ckpt"))
-    assert cfg["n_classes"] == 4
+    # the head holds the class count, and the trailer records the run's config alone
+    assert tensors["model.head.fc3.b"].shape == (4,) and "n_classes" not in cfg
     assert any(k.startswith("model.head.") for k in tensors)
     # as in test_cli_pretrain_outputs; the rehearsed step must not move the initial weights
     cfg = load_config(os.path.join(ft_dir, "config.json"))
@@ -312,6 +313,55 @@ def test_cli_from_scratch(tmp_path, command):
     rc = main([command, "--out-dir", str(tmp_path / "scr"), "--from-scratch",
                *RUN_FLAGS[command], *TINY_FLAGS])
     assert rc == 0
+
+
+def test_cli_checkpoint_trailers_hold_config_keys_alone(trained):
+    known = to_flat(RunConfig())
+    for ckpt in (trained["ckpt"], os.path.join(trained["ft_dir"], "finetune.ckpt")):
+        assert load_checkpoint(ckpt)[1].keys() <= known.keys()
+
+
+@pytest.mark.parametrize("n_classes", [3, 4])
+def test_cli_eval_takes_class_count_from_head(trained, tmp_path, capsys, n_classes):
+    # earlier versions also recorded n_classes in the trailer; it is ignored, so a trailer
+    # that disagrees with the head's 4 classes evaluates by the head
+    ft_ckpt = os.path.join(trained["ft_dir"], "finetune.ckpt")
+    tensors, cfg = load_checkpoint(ft_ckpt)
+    assert tensors["model.head.fc3.b"].shape == (4,)
+    old_ckpt = tmp_path / "old.ckpt"
+    save_checkpoint(old_ckpt, tensors, {**cfg, "n_classes": n_classes})
+    outputs = []
+    for path in (ft_ckpt, old_ckpt):
+        assert main(["eval", "--checkpoint", str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].out.startswith("test accuracy:")
+
+
+def test_cli_eval_refuses_scalar_head_bias(trained, tmp_path, capsys):
+    tensors, cfg = load_checkpoint(os.path.join(trained["ft_dir"], "finetune.ckpt"))
+    tensors["model.head.fc3.b"] = np.float32(0.0).reshape(())
+    path = tmp_path / "scalar.ckpt"
+    save_checkpoint(path, tensors, cfg)
+    assert main(["eval", "--checkpoint", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("m3cs eval: error: tensor 'head.fc3.")
+    assert "has shape" in err[0]
+
+
+def test_cli_three_class_run_evaluates_as_it_fine_tuned(tmp_path, capsys):
+    # every other CLI test runs the default four families
+    flags = [*TINY_FLAGS, "--data.families", "sphere,cube,torus"]
+    ft_dir = tmp_path / "ft"
+    assert main(["finetune", "--out-dir", str(ft_dir), "--from-scratch",
+                 *RUN_FLAGS["finetune"], *flags]) == 0
+    accuracy = [ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("test accuracy:")]
+    ckpt = ft_dir / "finetune.ckpt"
+    assert load_checkpoint(ckpt)[0]["model.head.fc3.b"].shape == (3,)
+    assert main(["eval", "--checkpoint", str(ckpt)]) == 0
+    assert capsys.readouterr().out.splitlines() == accuracy and len(accuracy) == 1
 
 
 def test_cli_eval_matches_finetune(trained, capsys):
@@ -829,18 +879,17 @@ def test_cli_eval_corrupt_checkpoint(tmp_path, capsys, field, offset, fmt, value
     assert err == [f"m3cs eval: error: {path}: truncated at byte {len(raw)}"]
 
 
-@pytest.mark.parametrize("command, kind, flags", [
-    ("eval", "finetune", []),
-    ("inspect-codebook", "pretrain", []),
-    ("finetune", "pretrain", RUN_FLAGS["finetune"]),
-    ("fewshot", "pretrain", FEWSHOT_FLAGS),
-], ids=["eval", "inspect-codebook", "finetune", "fewshot"])
-def test_cli_eval_missing_tensor(trained, tmp_path, capsys, command, kind, flags):
+@pytest.mark.parametrize("command, kind, flags, name", [
+    ("eval", "finetune", [], "model.encoder.blocks.1.attn.q.w"),
+    ("eval", "finetune", [], "model.head.fc3.b"),  # the head's bias sizes the model
+    ("inspect-codebook", "pretrain", [], "student.encoder.blocks.0.attn.q.w"),
+    ("finetune", "pretrain", RUN_FLAGS["finetune"], "student.encoder.blocks.0.attn.q.w"),
+    ("fewshot", "pretrain", FEWSHOT_FLAGS, "student.encoder.blocks.0.attn.q.w"),
+], ids=["eval", "eval-head-bias", "inspect-codebook", "finetune", "fewshot"])
+def test_cli_eval_missing_tensor(trained, tmp_path, capsys, command, kind, flags, name):
     # a checkpoint that lacks a tensor of its model is refused, not filled in at random
     ckpt = trained["ckpt"] if kind == "pretrain" else os.path.join(trained["ft_dir"],
                                                                    "finetune.ckpt")
-    name = {"pretrain": "student.encoder.blocks.0.attn.q.w",
-            "finetune": "model.encoder.blocks.1.attn.q.w"}[kind]
     tensors, config = load_checkpoint(ckpt)
     del tensors[name]
     path = tmp_path / "partial.ckpt"

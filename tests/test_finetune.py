@@ -395,7 +395,7 @@ def test_label_out_of_range():
                     class_names=["only"], split="train")
     fcfg = FinetuneConfig(steps=1, batch_size=2)
     with pytest.raises(ValueError, match="label"):
-        finetune_loop(train, None, TINY, fcfg, seed=0, n_classes=2)
+        finetune_loop(train, None, TINY, fcfg, seed=0)
 
 
 def test_classifier_head_param_shapes():
