@@ -88,6 +88,9 @@ def _load_model(cfg, given, prefix, sections):
     value than the checkpoint's is refused, and so is a tensor of the model that the
     checkpoint lacks, under its checkpoint name, prefix + name.
     """
+    if not cfg.checkpoint:
+        kind = "pretrain" if prefix == "student." else "finetune"
+        raise ValueError(f"--checkpoint must name a {kind} checkpoint")
     tensors, ck_cfg = load_checkpoint(cfg.checkpoint)
     arrays = {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
     if not arrays:
@@ -204,8 +207,6 @@ def cmd_finetune(cfg, given):
 
 
 def cmd_eval(cfg, given):
-    if not cfg.checkpoint:
-        raise FileNotFoundError("eval needs --checkpoint pointing at a finetune checkpoint")
     model, cfg = _load_model(cfg, given, "model.", _run_sections(cfg))
     acc = evaluate(model, _dataset(cfg, "test"), cfg.model, cfg.finetune)
     print(f"test accuracy: {acc:.4f}")
@@ -238,8 +239,6 @@ def cmd_fewshot(cfg, given):
 
 
 def cmd_inspect_codebook(cfg, given):
-    if not cfg.checkpoint:
-        raise FileNotFoundError("inspect-codebook needs --checkpoint (pretrain checkpoint)")
     model, cfg = _load_model(cfg, given, "student.", _run_sections(cfg))
     test = _dataset(cfg, "test")
     groups, centers = _cloud_batch([c for c, _ in test.items[:8]], cfg.model, None,
@@ -289,7 +288,7 @@ def main(argv=None):
         if cfg.data.dir and dropped and args.command != "gen-data":
             raise ValueError(f"{dropped[0]} is ignored when --data.dir is set")
         return HANDLERS[args.command](cfg, given)
-    except (ValueError, KeyError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"m3cs {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

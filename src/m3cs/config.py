@@ -143,7 +143,7 @@ def apply_flat(cfg, flat):
     known = to_flat(cfg)
     for key, value in flat.items():
         if key not in known:
-            raise KeyError(f"unknown config key '{key}'")
+            raise ValueError(f"unknown config key '{key}'")
         if "." in key:
             section, name = key.split(".", 1)
             target = getattr(cfg, section)

@@ -54,7 +54,7 @@ def test_flat_roundtrip():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(KeyError, match="unknown config key"):
+    with pytest.raises(ValueError, match="unknown config key"):
         apply_flat(RunConfig(), {"model.width": 7})
 
 
@@ -468,7 +468,7 @@ def test_cli_refuses_config_that_names_retired_key(tmp_path, capsys, command, ke
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err.strip().splitlines() == [
-        f"m3cs {command}: error: \"unknown config key '{key}'\""]
+        f"m3cs {command}: error: unknown config key '{key}'"]
     assert captured.out == ""
     assert not out_dir.exists()
 
@@ -847,6 +847,16 @@ def test_cli_eval_missing_checkpoint(capsys):
     rc = main(["eval"])
     assert rc == 1
     assert "checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, kind", [("eval", "finetune"),
+                                           ("inspect-codebook", "pretrain")])
+def test_cli_refuses_missing_checkpoint(capsys, command, kind):
+    assert main([command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        f"m3cs {command}: error: --checkpoint must name a {kind} checkpoint"]
+    assert captured.out == ""
 
 
 def test_cli_eval_truncated_checkpoint(trained, tmp_path, capsys):
