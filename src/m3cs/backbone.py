@@ -73,10 +73,13 @@ class SiameseDecoder(EncoderStack):
 class Backbone(Module):
     """Tokenizer, center embedding and encoder: the modules both models share.
 
-    Subclasses build their own modules after this; that order fixes the rng draws.
+    Sizes below 1 are refused first; subclasses build after this, an order that fixes the rng draws.
     """
 
     def __init__(self, rng, cfg):
+        for key in ("c", "heads", "enc_depth", "dec_depth", "g", "s", "n_points"):
+            if getattr(cfg, key) < 1:
+                raise ValueError(f"model.{key} must be at least 1, got {getattr(cfg, key)}")
         self.cfg = cfg
         self.tokenizer = MiniPointNet(rng, cfg.c)
         self.pos_embed = PosEmbed(rng, cfg.c)

@@ -22,10 +22,6 @@ ALIASES = {
     "fewshot": {"runs": "fewshot.runs", "way": "fewshot.way", "shot": "fewshot.shot"},
     "gen-data": {"dir": "data.dir"},
 }
-# refused below one by every command that builds a model; the constructors and the
-# grouping refuse the other bad sizes themselves
-MODEL_SIZES = ("model.c", "model.heads", "model.enc_depth", "model.dec_depth", "model.g",
-               "model.s", "model.n_points")
 
 
 def _parse_overrides(command, extra):
@@ -139,7 +135,7 @@ def cmd_gen_data(cfg, given):
 
 def cmd_pretrain(cfg, given):
     p = cfg.pretrain
-    _refuse_below_one(cfg, "pretrain.steps", "pretrain.batch_size", *MODEL_SIZES)
+    _refuse_below_one(cfg, "pretrain.steps", "pretrain.batch_size")
     # step 0 is rehearsed below; the schedule is monotone, so the two ends bound tau
     tau = temperature(p.steps - 1, p.steps, p.tau_start, p.tau_end)
     if tau <= 0:
@@ -186,8 +182,7 @@ def _initial_weights(command, cfg, given, layers):
 
 
 def cmd_finetune(cfg, given):
-    _refuse_below_one(cfg, "finetune.steps", "finetune.batch_size", "finetune.hidden",
-                      *MODEL_SIZES)
+    _refuse_below_one(cfg, "finetune.steps", "finetune.batch_size")
     init_arrays, cfg = _initial_weights("finetune", cfg, given, cfg.finetune.layers)
     train, test = _dataset(cfg, "train"), _dataset(cfg, "test")
     # the first step rehearsed, as in cmd_pretrain
@@ -216,7 +211,7 @@ def cmd_eval(cfg, given):
 def cmd_fewshot(cfg, given):
     fs = cfg.fewshot
     _refuse_below_one(cfg, "fewshot.runs", "fewshot.way", "fewshot.shot", "fewshot.steps",
-                      "finetune.batch_size", "finetune.hidden", *MODEL_SIZES)
+                      "finetune.batch_size")
     init_arrays, cfg = _initial_weights("fewshot", cfg, given, fs.layers)
     ep_cfg = dataclasses.replace(cfg.finetune, steps=fs.steps, lr=fs.lr, layers=fs.layers)
     # the run streams nothing, so it runs whole, and refuses what it refuses, before

@@ -66,6 +66,8 @@ class ClassifierHead(Module):
     """3-layer MLP with dropout on the hidden activations."""
 
     def __init__(self, rng, d_in, hidden, n_classes, dropout=0.2):
+        if hidden < 1:
+            raise ValueError(f"finetune.hidden must be at least 1, got {hidden}")
         if not 0 <= dropout < 1:  # at 1 it divides by 0; above 1 it drops all, below 0 none
             raise ValueError(f"finetune.dropout must be in [0, 1), got {dropout}")
         self.fc1 = Linear(rng, d_in, hidden)

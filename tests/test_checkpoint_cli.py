@@ -619,10 +619,21 @@ def test_cli_pretrain_refuses_bad_setting_before_writing(tmp_path, capsys, flag,
     ("fewshot", ["--finetune.dropout", "1.5"], "finetune.dropout must be in [0, 1), got 1.5"),
     ("finetune", ["--finetune.lr", "-1"], "AdamW needs lr >= 0, got -1.0"),
     ("fewshot", ["--fewshot.lr", "-1"], "AdamW needs lr >= 0, got -1.0"),
+    ("pretrain", ["--model.g", "0"], "model.g must be at least 1, got 0"),
+    ("finetune", ["--model.dec_depth", "0"], "model.dec_depth must be at least 1, got 0"),
+    ("fewshot", ["--model.dec_depth", "0"], "model.dec_depth must be at least 1, got 0"),
+    ("fewshot", ["--finetune.hidden", "0"], "finetune.hidden must be at least 1, got 0"),
+    # the layer check comes before the model build, so it reports an encoder of depth 0
+    ("finetune", ["--model.enc_depth", "0"],
+     "layer id 1 is outside [-0, 0) for an encoder of depth 0"),
+    ("fewshot", ["--model.enc_depth", "0"],
+     "layer id -1 is outside [-0, 0) for an encoder of depth 0"),
 ], ids=["heads0", "c0", "enc_depth0", "dec_depth0", "s0", "n_points0", "heads5", "t1", "n_points3",
         "g600", "tau_start0", "tau_end-1", "finetune-hidden0", "finetune-s600",
         "fewshot-heads0", "finetune-dropout1", "finetune-dropout1.5",
-        "finetune-dropout-0.5", "fewshot-dropout1.5", "finetune-lr-1", "fewshot-lr-1"])
+        "finetune-dropout-0.5", "fewshot-dropout1.5", "finetune-lr-1", "fewshot-lr-1", "g0",
+        "finetune-dec_depth0", "fewshot-dec_depth0", "fewshot-hidden0", "finetune-enc_depth0",
+        "fewshot-enc_depth0"])
 def test_cli_refuses_bad_model_setting_before_writing(tmp_path, capsys, command, flags,
                                                       message):
     # model and head sizes, the head's dropout, the temperatures and the fine-tune rate

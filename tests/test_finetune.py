@@ -374,6 +374,32 @@ def test_classifier_head_refuses_dropout_outside_unit_interval(rate):
         FinetuneModel(make_rng(25), TINY, n_classes=4, dropout=rate)
 
 
+# every int field of ModelConfig but the codebook size t, which Codebook refuses below 2
+SIZE_FIELDS = [f.name for f in dataclasses.fields(ModelConfig) if f.type is int and f.name != "t"]
+
+
+@pytest.mark.parametrize("key", SIZE_FIELDS)
+def test_models_refuse_size_below_one(key):
+    # refused before any rng draw, the decoder depth by the fine-tune model too
+    mcfg = dataclasses.replace(TINY, **{key: 0})
+    for build in (lambda rng: PretrainModel(rng, mcfg),
+                  lambda rng: FinetuneModel(rng, mcfg, n_classes=4)):
+        rng = make_rng(26)
+        with pytest.raises(ValueError, match=f"^model.{key} must be at least 1, got 0$"):
+            build(rng)
+        assert rng.random() == make_rng(26).random()
+
+
+def test_head_refuses_hidden_below_one():
+    message = "^finetune.hidden must be at least 1, got 0$"
+    with pytest.raises(ValueError, match=message):
+        ClassifierHead(make_rng(25), d_in=48, hidden=0, n_classes=5)
+    with pytest.raises(ValueError, match=message):  # before the dropout check
+        ClassifierHead(make_rng(25), d_in=48, hidden=0, n_classes=5, dropout=1.5)
+    with pytest.raises(ValueError, match=message):
+        FinetuneModel(make_rng(25), TINY, n_classes=4, hidden=0)
+
+
 def test_evaluate_refuses_empty_dataset():
     model = FinetuneModel(make_rng(21), TINY, n_classes=4)
     empty = Dataset(items=[], class_names=list("abcd"), split="test")
