@@ -62,7 +62,7 @@ def _unpack(fh, path, fmt):
 
 
 def load_checkpoint(path):
-    """Returns (tensors dict, config dict)."""
+    """Returns (tensors dict, config dict); a trailer that is not a JSON object is refused."""
     with open(path, "rb") as fh:
         if _read(fh, path, 4) != MAGIC:
             raise ValueError(f"{path}: not a M3CS checkpoint (bad magic)")
@@ -79,9 +79,11 @@ def load_checkpoint(path):
             tensors[name] = data.copy()
         (json_len,) = _unpack(fh, path, "<Q")
         config = json.loads(_read(fh, path, json_len).decode("utf-8"))
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config trailer is not a JSON object")
     return tensors, config
 
 
 def model_state(model, prefix):
-    """Every model tensor, frozen ones (a frozen codebook) included, named `<prefix><name>`."""
+    """Every model tensor, named `<prefix><name>`."""
     return {f"{prefix}{k}": p.data for k, p in model.named_tensors().items()}

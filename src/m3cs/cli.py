@@ -93,7 +93,10 @@ def _load_model(cfg, given, prefix, sections):
         raise ValueError(f"{cfg.checkpoint}: no '{prefix}' tensors")
     # older trailers hold keys RunConfig lacks: retired settings and the head's class count
     known = to_flat(RunConfig())
-    saved = load_config(overrides={k: v for k, v in ck_cfg.items() if k in known})
+    try:
+        saved = load_config(overrides={k: v for k, v in ck_cfg.items() if k in known})
+    except ValueError as exc:  # a bad saved value, not a bad flag
+        raise ValueError(f"{cfg.checkpoint}: {exc}") from exc
     ck = to_flat(saved)
     for key, value in to_flat(cfg).items():
         if key in given and key.split(".")[0] in sections and value != ck[key]:

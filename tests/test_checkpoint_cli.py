@@ -350,6 +350,21 @@ def test_cli_eval_refuses_scalar_head_bias(trained, tmp_path, capsys):
     assert "has shape" in err[0]
 
 
+@pytest.mark.parametrize("trailer, message", [
+    ([1, 2], "config trailer is not a JSON object"),
+    ({"model.c": 1.5}, "config key 'model.c': expected an integer, got 1.5"),
+], ids=["list", "float-width"])
+def test_cli_eval_refuses_bad_trailer_naming_the_file(trained, tmp_path, capsys, trailer,
+                                                      message):
+    tensors, cfg = load_checkpoint(os.path.join(trained["ft_dir"], "finetune.ckpt"))
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, tensors, trailer if isinstance(trailer, list) else {**cfg, **trailer})
+    assert main(["eval", "--checkpoint", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [f"m3cs eval: error: {path}: {message}"]
+
+
 def test_cli_three_class_run_evaluates_as_it_fine_tuned(tmp_path, capsys):
     # every other CLI test runs the default four families
     flags = [*TINY_FLAGS, "--data.families", "sphere,cube,torus"]
