@@ -128,21 +128,20 @@ def gen_shapes(families, per_class, points_per_cloud, rng, split="train", rotate
     return Dataset(items=items, class_names=list(families), split=split)
 
 
-def augment(cloud, rng, out_points=1024):
+def _subsample(points, n, rng):
+    """n rows of points, drawn with replacement only when there are fewer than n."""
+    return points[rng.choice(len(points), size=n, replace=len(points) < n)]
+
+
+def augment(cloud, rng, out_points):
     """Random anisotropic scale, translation, and subsampling to out_points."""
     pts = cloud.points * rng.uniform(0.8, 1.2, size=3) + rng.uniform(-0.1, 0.1, size=3)
-    n = len(pts)
-    if n >= out_points:
-        idx = rng.choice(n, size=out_points, replace=False)
-    else:
-        idx = rng.choice(n, size=out_points, replace=True)
-    return PointCloud(points=pts[idx])
+    return PointCloud(points=_subsample(pts, out_points, rng))
 
 
 def _resample(cloud, n_points, i):
     """The cloud resampled to n_points by the draw keyed to chunk position i."""
-    idx = make_rng(7, i).choice(cloud.n, size=n_points, replace=cloud.n < n_points)
-    return PointCloud(points=cloud.points[idx])
+    return PointCloud(points=_subsample(cloud.points, n_points, make_rng(7, i)))
 
 
 def _cloud_batch(clouds, mcfg, rng, train=True):

@@ -7,6 +7,7 @@ from m3cs.autodiff import Tensor
 from m3cs.data import (
     FAMILIES,
     _sample_cube,
+    _subsample,
     augment,
     gen_shapes,
     load_dataset,
@@ -134,6 +135,13 @@ def test_rotation_preserves_distances():
 
 
 # ------------------------------------------------------------------- augment
+
+
+def test_subsample_draws_with_replacement_only_when_short():
+    pts = np.arange(30.0).reshape(10, 3)
+    # as many rows as the cloud has: a permutation of them
+    assert sorted(map(tuple, _subsample(pts, 10, make_rng(3)))) == sorted(map(tuple, pts))
+    assert _subsample(pts, 25, make_rng(3)).shape == (25, 3)
 
 
 def test_augment_output_size():
