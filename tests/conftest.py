@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 import m3cs.autodiff as ad
 import m3cs.geometry as geometry
+
+# the same examples on every run, and no example database written; each @settings keeps
+# its own max_examples and deadline
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(autouse=True)
