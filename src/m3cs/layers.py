@@ -18,7 +18,7 @@ class Module:
     """Tiny param-registry base: children and Tensors found by attribute walk."""
 
     def named_tensors(self, prefix=""):
-        """Every Tensor reachable by attribute walk, frozen ones included."""
+        """Every Tensor reachable by attribute walk, whether it requires grad or not."""
         out = {}
         for name, val in vars(self).items():
             key = f"{prefix}{name}"
