@@ -619,8 +619,8 @@ def smooth_l1(x, y, beta=1.0):
 
 
 def dropout(a, rate, rng):
-    """Inverted dropout with caller-supplied rng. rate=0 is the identity."""
-    if rate <= 0.0:
+    """Inverted dropout with caller-supplied rng. rate=0 or rng=None is the identity."""
+    if rate <= 0.0 or rng is None:
         return a
     keep = (rng.random(a.shape) >= rate).astype(a.data.dtype) / (1.0 - rate)
     return mul(a, Tensor(keep))

@@ -239,8 +239,7 @@ def cmd_fewshot(cfg, given):
 def cmd_inspect_codebook(cfg, given):
     model, cfg = _load_model(cfg, given, "student.", _run_sections(cfg))
     test = _dataset(cfg, "test")
-    groups, centers = _cloud_batch([c for c, _ in test.items[:8]], cfg.model, None,
-                                   train=False)
+    groups, centers = _cloud_batch([c for c, _ in test.items[:8]], cfg.model, None)
     with ad.no_grad():
         tokens, pos = model.embed(groups, centers)
         ids = model.quantizer.token_ids(model.encoder(tokens, pos)[-1])

@@ -35,8 +35,8 @@ class QuantizerOutput:
 class Quantizer(Module):
     """Soft vector quantization: linear scores over the codebook, Gumbel-softmax mix.
 
-    Training mode adds fresh Gumbel noise from the caller's rng; eval mode is
-    the noise-free softmax. The whole path is differentiable (no straight-through).
+    Given an rng (training), Gumbel noise drawn from it is added to the logits; given None
+    (evaluation), it is the noise-free softmax. Differentiable throughout (no straight-through).
     """
 
     def __init__(self, rng, c, codebook):
@@ -46,13 +46,11 @@ class Quantizer(Module):
         # also the owner's .codebook: listed twice, so AdamW steps it twice (criterion 6 needs it)
         self.codebook = codebook
 
-    def __call__(self, x, tau, rng=None, training=True):
+    def __call__(self, x, tau, rng=None):
         if tau <= 0:
             raise ValueError(f"quantizer temperature must be positive, got {tau}")
         logits = self.to_logits(x)
-        if training:
-            if rng is None:
-                raise ValueError("training-mode quantization needs an rng for Gumbel noise")
+        if rng is not None:
             u = rng.random(logits.shape)
             noise = -np.log(-np.log(np.clip(u, 1e-12, 1.0 - 1e-12)))
             logits = ad.add(logits, Tensor(noise))

@@ -144,17 +144,17 @@ def _resample(cloud, n_points, i):
     return PointCloud(points=_subsample(cloud.points, n_points, make_rng(7, i)))
 
 
-def _cloud_batch(clouds, mcfg, rng, train=True):
+def _cloud_batch(clouds, mcfg, rng):
     """The one clouds-to-patches rule: dense (B,G,S,3) groups and (B,G,3) centers.
 
-    Training augments each cloud and starts FPS at a random point, so its
-    fresh clouds are grouped once and freed. Otherwise a cloud is resampled to
-    mcfg.n_points (keyed by its position) and FPS starts at 0; the resampled
+    Given an rng (training), each cloud is augmented and FPS starts at a random point,
+    so its fresh clouds are grouped once and freed. Given None (evaluation), a cloud is
+    resampled to mcfg.n_points (keyed by its position) and FPS starts at 0; the resampled
     cloud and its patches are derived once and kept on the source cloud.
     """
     all_groups, all_centers = [], []
     for i, cloud in enumerate(clouds):
-        if train:
+        if rng is not None:
             cloud = augment(cloud, rng, out_points=mcfg.n_points)
             start = int(rng.integers(cloud.n))
         else:

@@ -63,7 +63,7 @@ def cross_entropy(logits, labels):
 
 
 class ClassifierHead(Module):
-    """3-layer MLP with dropout on the hidden activations."""
+    """3-layer MLP with dropout on the hidden activations, drawn from rng when one is given."""
 
     def __init__(self, rng, d_in, hidden, n_classes, dropout=0.2):
         if hidden < 1:
@@ -75,12 +75,11 @@ class ClassifierHead(Module):
         self.fc3 = Linear(rng, hidden, n_classes)
         self.dropout = dropout
 
-    def __call__(self, x, rng=None, training=False):
-        rate = self.dropout if training else 0.0
+    def __call__(self, x, rng=None):
         x = ad.gelu(self.fc1(x))
-        x = ad.dropout(x, rate, rng)
+        x = ad.dropout(x, self.dropout, rng)
         x = ad.gelu(self.fc2(x))
-        x = ad.dropout(x, rate, rng)
+        x = ad.dropout(x, self.dropout, rng)
         return self.fc3(x)
 
 
@@ -95,12 +94,12 @@ class FinetuneModel(Backbone):
     def resolve_layers(self, layers):
         return sorted({l % len(self.encoder.blocks) for l in layers})
 
-    def forward(self, groups, centers, layers=(-1,), rng=None, training=False):
+    def forward(self, groups, centers, layers=(-1,), rng=None):
         tokens, pos = self.embed(groups, centers)
         hidden = self.encoder(tokens, pos)
         x_layers = [hidden[l] for l in self.resolve_layers(layers)]
         o = hta(x_layers, self.codebook.entries, self.vlad_w, self.vlad_b)
-        return self.head(o, rng=rng, training=training)
+        return self.head(o, rng=rng)
 
 
 # ------------------------------------------------------------------ training
@@ -110,8 +109,8 @@ def finetune_step(model, opt, clouds, labels, mcfg, fcfg, rng):
     """One supervised step; returns (loss, train accuracy) on the batch."""
     if model.head.fc3.b.shape[0] <= max(labels):
         raise ValueError(f"label {max(labels)} out of range for classifier head")
-    groups, centers = _cloud_batch(clouds, mcfg, rng, train=True)
-    logits = model.forward(groups, centers, layers=fcfg.layers, rng=rng, training=True)
+    groups, centers = _cloud_batch(clouds, mcfg, rng)
+    logits = model.forward(groups, centers, layers=fcfg.layers, rng=rng)
     loss = cross_entropy(logits, labels)
     if not np.isfinite(loss.data):
         raise FloatingPointError(f"non-finite loss: {loss.item()}")
@@ -132,8 +131,8 @@ def evaluate(model, dataset, mcfg, fcfg, batch=32):
             chunk = dataset.items[lo:lo + batch]
             clouds = [c for c, _ in chunk]
             labels = np.array([l for _, l in chunk])
-            groups, centers = _cloud_batch(clouds, mcfg, None, train=False)
-            logits = model.forward(groups, centers, layers=fcfg.layers, training=False)
+            groups, centers = _cloud_batch(clouds, mcfg, None)
+            logits = model.forward(groups, centers, layers=fcfg.layers)
             correct += int((logits.data.argmax(axis=-1) == labels).sum())
             total += len(labels)
     return correct / total

@@ -166,9 +166,9 @@ def align_loss(x, y, beta=1.0):
     return ad.smooth_l1(x, y, beta)
 
 
-def point_loss(model, x, enc_vis, pos, mask, groups, tau, rng=None, training=True):
+def point_loss(model, x, enc_vis, pos, mask, groups, tau, rng=None):
     """Quantize masked representations, decode with visible context, Chamfer vs truth."""
-    qout = model.quantizer(x, tau, rng=rng, training=training)
+    qout = model.quantizer(x, tau, rng=rng)
     decoder = getattr(model, "point_decoder", model.decoder)
     f_m = _decode(decoder, enc_vis, qout.mixed, pos, mask)
     pred = model.point_head(f_m)
@@ -198,7 +198,7 @@ def train_step(model, teacher, opt, batch, step, mcfg, pcfg, seed):
     l_align = align_loss(x, y, pcfg.beta)
     tau = temperature(step, pcfg.steps, pcfg.tau_start, pcfg.tau_end)
     l_rec, qout = point_loss(model, x, enc_vis, pos, mask, groups, tau,
-                             rng=make_rng(seed, 3, step), training=True)
+                             rng=make_rng(seed, 3, step))
     l_total = ad.add(l_align, ad.scalar_mul(l_rec, pcfg.eta))
     if not np.isfinite(l_total.data):
         raise FloatingPointError(

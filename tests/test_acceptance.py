@@ -86,7 +86,7 @@ def test_criterion_1_gradient_integrity():
             tokens, pos = model.embed(groups, centers)
             x, enc_vis = forward_student(model, tokens, pos, mask)
             loss, _ = point_loss(model, x, enc_vis, pos, mask, groups,
-                                 tau=0.7, rng=make_rng(5), training=True)
+                                 tau=0.7, rng=make_rng(5))
             return loss
 
         picks_b = [model.codebook.entries,
@@ -107,7 +107,7 @@ def test_criterion_1_gradient_integrity():
         labels = [0, 2]
 
         def loss_cls():
-            logits = ft.forward(fg, fc, layers=(-1,), training=False)
+            logits = ft.forward(fg, fc, layers=(-1,))
             return cross_entropy(logits, labels)
 
         picks_c = [ft.vlad_w, ft.vlad_b, ft.codebook.entries, ft.head.fc3.w]
@@ -353,7 +353,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     reloaded.load_params(arrays)
 
     clouds = [c for c, _ in ds.items[:4]]
-    groups, centers = _cloud_batch(clouds, tiny, None, train=False)
+    groups, centers = _cloud_batch(clouds, tiny, None)
     la = model.forward(groups, centers).data
     lb = reloaded.forward(groups, centers).data
     assert np.array_equal(la, lb), "reloaded logits are not bit-identical"

@@ -426,6 +426,7 @@ def test_no_grad_records_nothing():
 def test_dropout_identity_and_scale():
     x = rand(1000, seed=11)
     assert ad.dropout(x, 0.0, make_rng(0)) is x
+    assert ad.dropout(x, 0.5, None) is x  # no rng is the evaluation form
     y = ad.dropout(x, 0.5, make_rng(0))
     kept = y.data != 0
     assert 0.4 < kept.mean() < 0.6

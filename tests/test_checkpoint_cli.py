@@ -517,7 +517,7 @@ def test_cli_inspect_codebook_shows_eval_patches(tmp_path, capsys):
     saved = _load_model(load_config(overrides={"checkpoint": ckpt}), {}, "student.",
                         ("seed", "model", "data"))[1]
     test = _dataset(saved, "test")
-    _, centers = _cloud_batch([c for c, _ in test.items[:8]], saved.model, None, train=False)
+    _, centers = _cloud_batch([c for c, _ in test.items[:8]], saved.model, None)
     assert rows == [[f"{v:.6f}" for v in center] for center in centers.reshape(-1, 3)]
 
 
@@ -952,7 +952,7 @@ def test_checkpoint_reload_gives_identical_logits(trained):
     model_b, _ = _load_model(cfg, {}, "model.", _run_sections(cfg))
     ds = gen_shapes(["sphere"], 2, 64, make_rng(42), "test")
     clouds = [c for c, _ in ds.items]
-    groups, centers = _cloud_batch(clouds, saved.model, None, train=False)
+    groups, centers = _cloud_batch(clouds, saved.model, None)
     la = model_a.forward(groups, centers, layers=saved.finetune.layers).data
     lb = model_b.forward(groups, centers, layers=saved.finetune.layers).data
     np.testing.assert_array_equal(la, lb)

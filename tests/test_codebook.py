@@ -64,20 +64,14 @@ def test_low_temperature_approaches_argmax(quant):
 
 def test_eval_mode_is_noise_free(quant):
     x = Tensor(make_rng(10).normal(size=(6, 12)))
-    a = quant(x, tau=0.5, training=False).z.data
-    b = quant(x, tau=0.5, training=False).z.data
+    a = quant(x, tau=0.5).z.data
+    b = quant(x, tau=0.5).z.data
     np.testing.assert_array_equal(a, b)
     # and matches a plain softmax of logits / tau
     logits = quant.to_logits(x).data
     ref = np.exp(logits / 0.5 - (logits / 0.5).max(-1, keepdims=True))
     ref = ref / ref.sum(-1, keepdims=True)
     np.testing.assert_allclose(a, ref, atol=1e-6)
-
-
-def test_training_needs_rng(quant):
-    x = Tensor(np.zeros((2, 12)))
-    with pytest.raises(ValueError, match="rng"):
-        quant(x, tau=0.5)
 
 
 def test_nonpositive_tau_rejected(quant):
@@ -99,7 +93,7 @@ def test_same_seed_same_noise(quant):
 def test_token_ids_match_eval_argmax(quant):
     x = Tensor(make_rng(14).normal(size=(7, 12)))
     ids = quant.token_ids(x)
-    ev = quant(x, tau=0.3, training=False).z.data.argmax(-1)
+    ev = quant(x, tau=0.3).z.data.argmax(-1)
     np.testing.assert_array_equal(ids, ev)
 
 

@@ -214,11 +214,11 @@ def test_dropout_only_in_training():
     rng = make_rng(13)
     groups = rng.normal(scale=0.1, size=(2, 8, 4, 3))
     centers = rng.normal(size=(2, 8, 3))
-    a = model.forward(groups, centers, training=False).data
-    b = model.forward(groups, centers, training=False).data
+    a = model.forward(groups, centers).data
+    b = model.forward(groups, centers).data
     np.testing.assert_array_equal(a, b)
-    c = model.forward(groups, centers, rng=make_rng(14), training=True).data
-    d = model.forward(groups, centers, rng=make_rng(15), training=True).data
+    c = model.forward(groups, centers, rng=make_rng(14)).data
+    d = model.forward(groups, centers, rng=make_rng(15)).data
     assert not np.array_equal(c, d)
 
 
@@ -314,7 +314,7 @@ def test_eval_batch_groups_each_cloud_once(fps_calls):
     model = FinetuneModel(make_rng(25), desk, n_classes=3)
 
     def batch_and_logits(batch, mcfg):
-        groups, centers = _cloud_batch(batch, mcfg, None, train=False)
+        groups, centers = _cloud_batch(batch, mcfg, None)
         with ad.no_grad():
             logits = model.forward(groups, centers, layers=layers).data
         return groups, centers, logits
@@ -501,12 +501,11 @@ clouds, labels = [c for c, _ in items], [l for _, l in items]
 model = FinetuneModel(make_rng(9, 10), desk, n_classes=4)
 h = hashlib.sha256()
 with ad.no_grad():
-    groups, centers = _cloud_batch(clouds, desk, None, train=False)
+    groups, centers = _cloud_batch(clouds, desk, None)
     h.update(model.forward(groups, centers, layers=layers).data.tobytes())
 rng = make_rng(9, 11, 0)
-groups, centers = _cloud_batch(clouds, desk, rng, train=True)
-ad.backward(cross_entropy(model.forward(groups, centers, layers=layers, rng=rng,
-                                        training=True), labels))
+groups, centers = _cloud_batch(clouds, desk, rng)
+ad.backward(cross_entropy(model.forward(groups, centers, layers=layers, rng=rng), labels))
 for name, t in sorted(model.named_tensors().items()):
     h.update(name.encode())
     h.update(t.grad.tobytes())

@@ -192,6 +192,22 @@ def test_point_loss_shapes_and_value():
     assert qout.z.shape == (2, 4, 8)
 
 
+def test_point_loss_without_rng_is_noise_free():
+    # no rng is the evaluation form: the quantizer draws no Gumbel noise
+    model = tiny_model()
+    batch = tiny_batch()
+    mask = mask_random(8, 0.5, make_rng(9))
+    tokens, pos = model.embed(batch["groups"], batch["centers"])
+    with ad.no_grad():
+        x, enc_vis = forward_student(model, tokens, pos, mask)
+        (a, qa), (b, _) = (point_loss(model, x, enc_vis, pos, mask, batch["groups"], tau=0.5)
+                           for _ in range(2))
+        noisy, _ = point_loss(model, x, enc_vis, pos, mask, batch["groups"],
+                              tau=0.5, rng=make_rng(10))
+    assert a.item() == b.item() != noisy.item()
+    np.testing.assert_array_equal(qa.z.data, model.quantizer(x, tau=0.5).z.data)
+
+
 @pytest.mark.parametrize("siamese", [True, False])
 def test_point_loss_decoder_choice(siamese):
     # the point branch alone reaches the shared decoder, or only the second one

@@ -120,15 +120,15 @@ def library():
     clouds, labels = [c for c, _ in desk_set.items], [l for _, l in desk_set.items]
     model = FinetuneModel(make_rng(9, 10), desk, n_classes=4)
     with ad.no_grad():
-        groups, centers = _cloud_batch(clouds, desk, None, train=False)
+        groups, centers = _cloud_batch(clouds, desk, None)
         digest("desk-logits", {"logits": model.forward(groups, centers, layers=layers).data})
         # the same clouds again, whose patches the first batch derived and kept
-        groups, centers = _cloud_batch(clouds, desk, None, train=False)
+        groups, centers = _cloud_batch(clouds, desk, None)
         digest("desk-eval-batch-again", {"groups": groups, "centers": centers})
         digest("desk-logits-again", {"logits": model.forward(groups, centers, layers=layers).data})
     rng = make_rng(9, 11, 0)
-    groups, centers = _cloud_batch(clouds, desk, rng, train=True)
-    logits = model.forward(groups, centers, layers=layers, rng=rng, training=True)
+    groups, centers = _cloud_batch(clouds, desk, rng)
+    logits = model.forward(groups, centers, layers=layers, rng=rng)
     ad.backward(cross_entropy(logits, labels))
     digest("desk-finetune-grads", {k: t.grad for k, t in model.named_tensors().items()})
 
