@@ -15,6 +15,8 @@ import struct
 
 import numpy as np
 
+from .config import naming_file
+
 MAGIC = b"M3CS"
 VERSION = 1
 
@@ -63,7 +65,7 @@ def _unpack(fh, path, fmt):
 
 def load_checkpoint(path):
     """Returns (tensors dict, config dict); a trailer that is not a JSON object is refused."""
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, naming_file(path):
         if _read(fh, path, 4) != MAGIC:
             raise ValueError(f"{path}: not a M3CS checkpoint (bad magic)")
         version, count = _unpack(fh, path, "<II")

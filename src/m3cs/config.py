@@ -153,11 +153,20 @@ def apply_flat(cfg, flat):
     return cfg
 
 
+@contextlib.contextmanager
+def naming_file(path):
+    """Prefix `<path>: ` to a UTF-8 or JSON decode error, whose message names no file."""
+    try:
+        yield
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def given_settings(path=None, overrides=None, preset=None):
     """Flat settings from the preset, then the JSON file at path, then overrides; later wins."""
     given = dict(PAPER_SHAPE) if preset == "paper" else {}
     if path:
-        with open(path) as fh:
+        with open(path) as fh, naming_file(path):
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError(f"{path}: expected a JSON object")

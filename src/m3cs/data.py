@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .config import naming_file
 from .geometry import PointCloud
 from .rng import make_rng
 
@@ -178,7 +179,7 @@ def save_xyz(path, cloud):
 
 def load_xyz(path):
     pts = []
-    with open(path) as fh:
+    with open(path) as fh, naming_file(path):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -222,11 +223,11 @@ def load_dataset(dirpath, split="train"):
     classes_file = os.path.join(dirpath, "classes.txt")
     class_names = None
     if os.path.exists(classes_file):
-        with open(classes_file) as fh:
+        with open(classes_file) as fh, naming_file(classes_file):
             class_names = [ln.strip() for ln in fh if ln.strip()]
     n_classes = float("inf") if class_names is None else len(class_names)
     items = []
-    with open(manifest, newline="") as fh:
+    with open(manifest, newline="") as fh, naming_file(manifest):
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["path", "label"]:
             raise ValueError(f"{manifest}: expected header path,label")

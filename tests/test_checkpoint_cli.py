@@ -102,13 +102,15 @@ def test_config_file_plus_overrides(tmp_path):
      "config key 'pretrain.lr': expected a finite number, got inf"),
     ('{"pretrain.tau_end": -Infinity}',
      "config key 'pretrain.tau_end': expected a finite number, got -inf"),
+    ("{]", "{path}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (b"\xff\xfe", "{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
 ], ids=["c-list", "c-null", "c-float", "c-bool", "steps-float", "steps-bool", "lr-bool",
         "layers-int", "layers-float-item", "out_dir-int", "top-level-list", "eta-nan",
-        "lr-inf", "tau_end-minus-inf"])
+        "lr-inf", "tau_end-minus-inf", "not-json", "not-utf8"])
 def test_cli_refuses_config_value_of_wrong_type(tmp_path, capsys, text, message):
     # the config is read before any command runs, so eval needs no checkpoint here
     path = tmp_path / "cfg.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     rc = main(["eval", "--config", str(path)])
     assert rc == 1
     captured = capsys.readouterr()
@@ -175,6 +177,16 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_tensor_name_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "name.ckpt"
+    save_checkpoint(path, {"w": np.zeros((2, 3), np.float32)}, {"seed": 0})
+    raw = bytearray(path.read_bytes())
+    raw[16:17] = b"\xff"  # the name "w" follows magic, version, count and name_len
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="name.ckpt: 'utf-8' codec can't decode byte 0xff"):
         load_checkpoint(path)
 
 
@@ -353,12 +365,20 @@ def test_cli_eval_refuses_scalar_head_bias(trained, tmp_path, capsys):
 @pytest.mark.parametrize("trailer, message", [
     ([1, 2], "config trailer is not a JSON object"),
     ({"model.c": 1.5}, "config key 'model.c': expected an integer, got 1.5"),
-], ids=["list", "float-width"])
+    (b"{]", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["list", "float-width", "not-json", "not-utf8"])
 def test_cli_eval_refuses_bad_trailer_naming_the_file(trained, tmp_path, capsys, trailer,
                                                       message):
     tensors, cfg = load_checkpoint(os.path.join(trained["ft_dir"], "finetune.ckpt"))
     path = tmp_path / "bad.ckpt"
-    save_checkpoint(path, tensors, trailer if isinstance(trailer, list) else {**cfg, **trailer})
+    if isinstance(trailer, bytes):  # the two-byte trailer "{}", overwritten in place
+        save_checkpoint(path, tensors, {})
+        with open(path, "r+b") as fh:
+            fh.seek(-2, os.SEEK_END)
+            fh.write(trailer)
+    else:
+        save_checkpoint(path, tensors, trailer if isinstance(trailer, list) else {**cfg, **trailer})
     assert main(["eval", "--checkpoint", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

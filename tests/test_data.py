@@ -279,3 +279,13 @@ def test_dataset_manifest_labels(tmp_path, rows, classes, error):
         return
     with pytest.raises(ValueError, match=f"^{re.escape(f'{manifest}:{error}')}$"):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["manifest.csv", "classes.txt", "train_00000.xyz"])
+def test_dataset_file_not_utf8_names_the_file(tmp_path, name):
+    save_dataset(tmp_path, gen_shapes(["sphere", "cube"], 1, 8, make_rng(21)))
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: ')}'utf-8' codec can't "
+                                         "decode byte 0xff in position [0-9]+: invalid start"):
+        load_dataset(tmp_path)
