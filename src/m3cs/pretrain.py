@@ -93,8 +93,8 @@ class PretrainModel(Backbone):
 @dataclass
 class EmaState:
     encoder: EncoderStack   # frozen copy; params never require grad
-    lam_start: float = 0.996
-    lam_end: float = 1.0
+    lam_start: float
+    lam_end: float
 
 
 def init_teacher(model, lam_start=0.996, lam_end=1.0):
