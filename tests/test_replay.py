@@ -1,7 +1,8 @@
 """The tools still run against the library and the tests they import.
 
-tools/replay.py prints the same lines each time. Only self-consistency is checked,
-never a digest: replay compares two checkouts, which one checkout cannot do.
+tools/replay.py prints the same lines each time, and nothing on stderr. Only
+self-consistency is checked, never a digest: replay compares two checkouts, which one
+checkout cannot do.
 """
 
 import os
@@ -20,7 +21,7 @@ def test_replay_runs_and_repeats_itself(tmp_path):
         (tmp_path / run).mkdir()
         proc = subprocess.run([*PYTHON, REPLAY, os.path.join("runs", "replay")],
                               cwd=tmp_path / run, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         lines.append(proc.stdout.splitlines())
     assert lines[0] and lines[0] == lines[1]
 
