@@ -2,6 +2,7 @@
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import at_least_one
 from .layers import LayerNorm, Linear, Module
 from .tokenizer import MiniPointNet, PosEmbed
 
@@ -77,9 +78,8 @@ class Backbone(Module):
     """
 
     def __init__(self, rng, cfg):
-        for key in ("c", "heads", "enc_depth", "dec_depth", "g", "s", "n_points"):
-            if getattr(cfg, key) < 1:
-                raise ValueError(f"model.{key} must be at least 1, got {getattr(cfg, key)}")
+        at_least_one("model", **{key: getattr(cfg, key) for key in
+                                 ("c", "heads", "enc_depth", "dec_depth", "g", "s", "n_points")})
         self.cfg = cfg
         self.tokenizer = MiniPointNet(rng, cfg.c)
         self.pos_embed = PosEmbed(rng, cfg.c)

@@ -8,11 +8,10 @@ import sys
 
 from . import autodiff as ad
 from .checkpoint import load_checkpoint, model_state, save_checkpoint
-from .codebook import temperature
-from .config import RunConfig, dump_config, given_settings, load_config, to_flat
+from .config import RunConfig, check_run, dump_config, given_settings, load_config, to_flat
 from .data import _cloud_batch, gen_shapes, load_dataset, save_dataset
 from .finetune import FinetuneModel, evaluate, few_shot, finetune_loop
-from .pretrain import PretrainModel, pretrain_loop
+from .pretrain import PretrainModel, check_schedule, pretrain_loop
 from .rng import make_rng
 
 # per-command shorthand flags mapping onto dotted config keys
@@ -120,13 +119,6 @@ def _run_sections(cfg):
     return ("seed", "model", "finetune") + (() if cfg.data.dir else ("data",))
 
 
-def _refuse_below_one(cfg, *keys):
-    flat = to_flat(cfg)
-    for key in keys:
-        if flat[key] < 1:
-            raise ValueError(f"{key} must be at least 1, got {flat[key]}")
-
-
 def cmd_gen_data(cfg, given):
     out = cfg.data.dir or os.path.join(cfg.out_dir, "data")
     train, test = _generate(cfg, "train"), _generate(cfg, "test")
@@ -138,11 +130,7 @@ def cmd_gen_data(cfg, given):
 
 def cmd_pretrain(cfg, given):
     p = cfg.pretrain
-    _refuse_below_one(cfg, "pretrain.steps", "pretrain.batch_size")
-    # step 0 is rehearsed below; the schedule is monotone, so the two ends bound tau
-    tau = temperature(p.steps - 1, p.steps, p.tau_start, p.tau_end)
-    if tau <= 0:
-        raise ValueError(f"quantizer temperature must be positive, got {tau}")
+    check_schedule(p)  # the run's length and last step, which the rehearsal below lacks
     train = _dataset(cfg, "train")
     # the run's first step on one cloud, writing nothing, refuses what the run would
     # refuse before anything is written; every rng is keyed by step, so the run is unchanged
@@ -185,11 +173,12 @@ def _initial_weights(command, cfg, given, layers):
 
 
 def cmd_finetune(cfg, given):
-    _refuse_below_one(cfg, "finetune.steps", "finetune.batch_size")
+    check_run("finetune", cfg.finetune)  # as in cmd_pretrain
     init_arrays, cfg = _initial_weights("finetune", cfg, given, cfg.finetune.layers)
     train, test = _dataset(cfg, "train"), _dataset(cfg, "test")
-    # the first step rehearsed, as in cmd_pretrain
-    finetune_loop(train, None, cfg.model,
+    # the first step rehearsed, as in cmd_pretrain, then scored on the test set, whose
+    # labels the head must cover
+    finetune_loop(train, test, cfg.model,
                   dataclasses.replace(cfg.finetune, steps=1, batch_size=1),
                   seed=cfg.seed, init_arrays=init_arrays)
     _prepare_out(cfg)
@@ -213,8 +202,6 @@ def cmd_eval(cfg, given):
 
 def cmd_fewshot(cfg, given):
     fs = cfg.fewshot
-    _refuse_below_one(cfg, "fewshot.runs", "fewshot.way", "fewshot.shot", "fewshot.steps",
-                      "finetune.batch_size")
     init_arrays, cfg = _initial_weights("fewshot", cfg, given, fs.layers)
     ep_cfg = dataclasses.replace(cfg.finetune, steps=fs.steps, lr=fs.lr, layers=fs.layers)
     # the run streams nothing, so it runs whole, and refuses what it refuses, before

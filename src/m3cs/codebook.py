@@ -47,8 +47,7 @@ class Quantizer(Module):
         self.codebook = codebook
 
     def __call__(self, x, tau, rng=None):
-        if tau <= 0:
-            raise ValueError(f"quantizer temperature must be positive, got {tau}")
+        check_tau(tau)
         logits = self.to_logits(x)
         if rng is not None:
             u = rng.random(logits.shape)
@@ -63,6 +62,12 @@ class Quantizer(Module):
         with ad.no_grad():
             logits = self.to_logits(x)
         return logits.data.argmax(axis=-1)
+
+
+def check_tau(tau):
+    """Refuse a Gumbel-softmax temperature that is not positive."""
+    if tau <= 0:
+        raise ValueError(f"quantizer temperature must be positive, got {tau}")
 
 
 def temperature(step, total_steps, tau_start=1.0, tau_end=0.0625):

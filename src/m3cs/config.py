@@ -107,6 +107,18 @@ def to_flat(cfg):
     return flat
 
 
+def at_least_one(section, **values):
+    """Refuse a value below 1, naming it section.<name>."""
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{section}.{name} must be at least 1, got {value}")
+
+
+def check_run(section, cfg):
+    """Refuse a run of cfg with fewer than one step or one sample a batch."""
+    at_least_one(section, steps=cfg.steps, batch_size=cfg.batch_size)
+
+
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
              tuple: "a list"}

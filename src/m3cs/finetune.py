@@ -8,7 +8,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import Backbone
 from .codebook import Codebook
-from .config import ModelConfig
+from .config import ModelConfig, at_least_one
 from .data import Dataset, _cloud_batch
 from .layers import Linear, Module, init_param
 from .optim import step_loop
@@ -66,14 +66,18 @@ class ClassifierHead(Module):
     """3-layer MLP with dropout on the hidden activations, drawn from rng when one is given."""
 
     def __init__(self, rng, d_in, hidden, n_classes, dropout=0.2):
-        if hidden < 1:
-            raise ValueError(f"finetune.hidden must be at least 1, got {hidden}")
+        at_least_one("finetune", hidden=hidden)
         if not 0 <= dropout < 1:  # at 1 it divides by 0; above 1 it drops all, below 0 none
             raise ValueError(f"finetune.dropout must be in [0, 1), got {dropout}")
         self.fc1 = Linear(rng, d_in, hidden)
         self.fc2 = Linear(rng, hidden, hidden)
         self.fc3 = Linear(rng, hidden, n_classes)
         self.dropout = dropout
+
+    def check_labels(self, labels):
+        """Refuse a label this head has no output for."""
+        if self.fc3.b.shape[0] <= max(labels):
+            raise ValueError(f"label {max(labels)} out of range for classifier head")
 
     def __call__(self, x, rng=None):
         x = ad.gelu(self.fc1(x))
@@ -107,8 +111,7 @@ class FinetuneModel(Backbone):
 
 def finetune_step(model, opt, clouds, labels, mcfg, fcfg, rng):
     """One supervised step; returns (loss, train accuracy) on the batch."""
-    if model.head.fc3.b.shape[0] <= max(labels):
-        raise ValueError(f"label {max(labels)} out of range for classifier head")
+    model.head.check_labels(labels)
     groups, centers = _cloud_batch(clouds, mcfg, rng)
     logits = model.forward(groups, centers, layers=fcfg.layers, rng=rng)
     loss = cross_entropy(logits, labels)
@@ -125,17 +128,16 @@ def evaluate(model, dataset, mcfg, fcfg, batch=32):
     """Test accuracy over a dataset, deterministic grouping, no augmentation."""
     if not dataset.items:
         raise ValueError("evaluate: empty dataset")
-    correct = total = 0
+    at_least_one("evaluate", batch=batch)
+    clouds, labels = zip(*dataset.items)
+    model.head.check_labels(labels)
+    correct = 0
     with ad.no_grad():
-        for lo in range(0, len(dataset.items), batch):
-            chunk = dataset.items[lo:lo + batch]
-            clouds = [c for c, _ in chunk]
-            labels = np.array([l for _, l in chunk])
-            groups, centers = _cloud_batch(clouds, mcfg, None)
+        for lo in range(0, len(labels), batch):
+            groups, centers = _cloud_batch(clouds[lo:lo + batch], mcfg, None)
             logits = model.forward(groups, centers, layers=fcfg.layers)
-            correct += int((logits.data.argmax(axis=-1) == labels).sum())
-            total += len(labels)
-    return correct / total
+            correct += int((logits.data.argmax(axis=-1) == labels[lo:lo + batch]).sum())
+    return correct / len(labels)
 
 
 def trainable_params(model, fcfg):
@@ -160,7 +162,7 @@ def finetune_loop(train_ds, test_ds, mcfg, fcfg, seed=0, init_arrays=None,
         loss, acc = finetune_step(model, opt, clouds, labels, mcfg, fcfg, rng)
         return {"step": step, "loss": loss, "train_acc": acc}
 
-    _, history = step_loop(fcfg, trainable_params(model, fcfg), seed, 11, step_fn,
+    _, history = step_loop("finetune", fcfg, trainable_params(model, fcfg), seed, 11, step_fn,
                            metrics_path, ["step", "loss", "train_acc"], log_every,
                            "step {step}: loss={loss:.4f} train_acc={train_acc:.3f}")
     test_acc = evaluate(model, test_ds, mcfg, fcfg) if test_ds else None
@@ -203,6 +205,7 @@ def sample_episode(dataset, way, shot, query, rng):
 
 def few_shot(dataset, way, shot, runs, mcfg, fcfg, seed=0, query=20, init_arrays=None):
     """Episodic evaluation; returns (records, mean, std) over independent runs."""
+    at_least_one("fewshot", runs=runs, way=way, shot=shot, steps=fcfg.steps)
     records = []
     for run in range(runs):
         ep_seed = seed + run

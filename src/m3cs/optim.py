@@ -8,6 +8,7 @@ import os
 import numpy as np
 
 from .autodiff import ShapeError
+from .config import check_run
 from .rng import make_rng
 
 
@@ -76,14 +77,15 @@ class AdamW:
             p.data -= mhat
 
 
-def step_loop(cfg, params, seed, stream, step_fn, metrics_path, header, log_every, log):
+def step_loop(section, cfg, params, seed, stream, step_fn, metrics_path, header, log_every, log):
     """cfg.steps steps of step_fn(opt, step, rng) -> record, under AdamW on params with
     cfg's lr, weight_decay, steps and warmup; rng is keyed by (seed, stream, step).
 
     Each record is kept, streamed to the CSV at metrics_path (flushed per row; without
     a path rows are dropped), and every log_every steps printed by the format string
-    `log`. Returns (optimizer, records).
+    `log`. check_run(section, cfg) refuses the run first. Returns (optimizer, records).
     """
+    check_run(section, cfg)
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay,
                 total_steps=cfg.steps, warmup=cfg.warmup)
     records = []

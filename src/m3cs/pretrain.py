@@ -8,8 +8,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import Backbone, EncoderStack, SiameseDecoder
-from .codebook import Codebook, Quantizer, perplexity, temperature
-from .config import ModelConfig, PretrainConfig
+from .codebook import Codebook, Quantizer, check_tau, perplexity, temperature
+from .config import ModelConfig, PretrainConfig, check_run
 from .data import _cloud_batch
 from .geometry import chamfer_batch
 from .layers import Linear, init_param
@@ -226,9 +226,18 @@ def assemble_batch(dataset, batch_size, mcfg, rng):
     return {"groups": groups, "centers": centers}
 
 
+def check_schedule(pcfg):
+    """Refuse a run of pcfg shorter than a step or a batch, or with a tau that is not
+    positive at step 0 or at its last step, which bound the monotone schedule."""
+    check_run("pretrain", pcfg)
+    for step in (0, pcfg.steps - 1):
+        check_tau(temperature(step, pcfg.steps, pcfg.tau_start, pcfg.tau_end))
+
+
 def pretrain_loop(dataset, mcfg: ModelConfig, pcfg: PretrainConfig, seed=0,
                   metrics_path=None, log_every=0):
     """Full pretraining run. Returns (model, teacher, optimizer, metrics list)."""
+    check_schedule(pcfg)
     model = PretrainModel(make_rng(seed, 0), mcfg)
     teacher = init_teacher(model, pcfg.lam_start, pcfg.lam_end)
 
@@ -237,7 +246,7 @@ def pretrain_loop(dataset, mcfg: ModelConfig, pcfg: PretrainConfig, seed=0,
         return train_step(model, teacher, opt, batch, step, mcfg, pcfg, seed)
 
     opt, metrics = step_loop(
-        pcfg, model.params(), seed, 1, step_fn, metrics_path, METRICS_HEADER, log_every,
-        "step {step}: l_total={l_total:.4f} l_align={l_align:.4f} l_rec={l_rec:.4f} "
-        "ppl={perplexity:.1f}")
+        "pretrain", pcfg, model.params(), seed, 1, step_fn, metrics_path, METRICS_HEADER,
+        log_every, "step {step}: l_total={l_total:.4f} l_align={l_align:.4f} "
+        "l_rec={l_rec:.4f} ppl={perplexity:.1f}")
     return model, teacher, opt, metrics

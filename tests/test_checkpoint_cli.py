@@ -18,6 +18,7 @@ from m3cs.config import (
     load_config,
     to_flat,
 )
+from m3cs.data import Dataset, gen_shapes, save_dataset
 from m3cs.finetune import few_shot, finetune_loop
 from m3cs.pretrain import pretrain_loop
 from m3cs.rng import make_rng
@@ -779,6 +780,39 @@ def test_cli_data_dir_run_records_only_data_dir(trained, tmp_path):
     for saved in (config, trailer):
         assert saved["data.dir"] == data_dir
         assert [k for k in saved if k.startswith("data.")] == ["data.dir"]
+
+
+def test_cli_eval_refuses_label_the_head_cannot_predict(trained, tmp_path, capsys):
+    # the fine-tune checkpoint's head has 4 classes; a test set with a label of 5 is refused
+    clouds = [c for c, _ in gen_shapes(["sphere"], 2, 64, make_rng(3)).items]
+    save_dataset(str(tmp_path / "data" / "test"),
+                 Dataset(items=[(clouds[0], 0), (clouds[1], 5)],
+                         class_names=list("abcdef"), split="test"))
+    ft_ckpt = os.path.join(trained["ft_dir"], "finetune.ckpt")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ft_ckpt, "--data.dir", str(tmp_path / "data")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        "m3cs eval: error: label 5 out of range for classifier head"]
+    assert captured.out == ""
+
+
+def test_cli_finetune_refuses_test_label_before_writing(tmp_path, capsys):
+    # a 2-class train split sets a 2-class head; a test label of 2 is refused up front
+    clouds = [c for c, _ in gen_shapes(["sphere"], 4, 64, make_rng(4)).items]
+    for split, labels, names in (("train", (0, 1), "ab"), ("test", (0, 2), "abc")):
+        save_dataset(str(tmp_path / "data" / split),
+                     Dataset(items=list(zip(clouds, labels + labels)),
+                             class_names=list(names), split=split))
+    out_dir = tmp_path / "ft"
+    rc = main(["finetune", "--out-dir", str(out_dir), "--from-scratch", *RUN_FLAGS["finetune"],
+               *TINY_MODEL_FLAGS, "--data.dir", str(tmp_path / "data")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        "m3cs finetune: error: label 2 out of range for classifier head"]
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_cli_eval_and_fewshot_read_only_the_test_split(trained, tmp_path, capsys):

@@ -424,6 +424,45 @@ def test_label_out_of_range():
         finetune_loop(train, None, TINY, fcfg, seed=0)
 
 
+def test_evaluate_refuses_label_the_head_cannot_predict():
+    # a 2-class head and labels up to 3: refused, not scored as wrong
+    model = FinetuneModel(make_rng(21), TINY, n_classes=2)
+    test = four_class_dataset(1, 23, "test")
+    with pytest.raises(ValueError, match="^label 3 out of range for classifier head$"):
+        evaluate(model, test, TINY, FinetuneConfig())
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_evaluate_refuses_batch_below_one(batch):
+    model = FinetuneModel(make_rng(21), TINY, n_classes=4)
+    test = four_class_dataset(1, 23, "test")
+    with pytest.raises(ValueError, match=f"^evaluate.batch must be at least 1, got {batch}$"):
+        evaluate(model, test, TINY, FinetuneConfig(), batch=batch)
+
+
+@pytest.mark.parametrize("key", ["steps", "batch_size"])
+def test_finetune_loop_refuses_zero_run_setting(tmp_path, key):
+    path = tmp_path / "metrics.csv"
+    fcfg = dataclasses.replace(FinetuneConfig(steps=1, batch_size=2), **{key: 0})
+    with pytest.raises(ValueError, match=f"^finetune.{key} must be at least 1, got 0$"):
+        finetune_loop(four_class_dataset(1, 24), None, TINY, fcfg, seed=0,
+                      metrics_path=str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("key, section", [
+    ("runs", "fewshot"), ("way", "fewshot"), ("shot", "fewshot"), ("steps", "fewshot"),
+    ("batch_size", "finetune"),
+])
+def test_few_shot_refuses_zero_setting(key, section):
+    # the episodes' steps are fewshot.steps; their batch size is finetune.batch_size
+    settings = {"runs": 1, "way": 2, "shot": 1, "steps": 1, "batch_size": 2, key: 0}
+    fcfg = FinetuneConfig(steps=settings["steps"], batch_size=settings["batch_size"])
+    with pytest.raises(ValueError, match=f"^{section}.{key} must be at least 1, got 0$"):
+        few_shot(four_class_dataset(2, 31, "test"), settings["way"], settings["shot"],
+                 settings["runs"], TINY, fcfg, seed=0, query=1)
+
+
 def test_classifier_head_param_shapes():
     head = ClassifierHead(make_rng(25), d_in=48, hidden=32, n_classes=5)
     out = head(Tensor(make_rng(26).normal(size=(7, 48))))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import m3cs.autodiff as ad
+import m3cs.pretrain as pretrain_mod
 from m3cs.autodiff import Tensor, backward
 from m3cs.config import ModelConfig, PretrainConfig
 from m3cs.data import gen_shapes
@@ -374,6 +375,30 @@ def test_metrics_csv_written(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,l_align,l_rec,l_total,lambda,tau,perplexity"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("key", ["steps", "batch_size"])
+def test_pretrain_loop_refuses_zero_run_setting(tmp_path, key):
+    path = tmp_path / "metrics.csv"
+    pcfg = dataclasses.replace(PretrainConfig(steps=1, batch_size=2), **{key: 0})
+    with pytest.raises(ValueError, match=f"^pretrain.{key} must be at least 1, got 0$"):
+        pretrain_loop(small_dataset(), TINY, pcfg, seed=0, metrics_path=str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("settings", [
+    {"steps": 2, "tau_end": -1.0},   # tau 1.0 at step 0, 0.0 at the last step
+    {"steps": 3, "tau_start": 0.0},  # tau 0.0 at step 0
+], ids=["last-step", "step-0"])
+def test_pretrain_loop_refuses_nonpositive_tau_before_step_0(tmp_path, monkeypatch, settings):
+    steps_run = []
+    monkeypatch.setattr(pretrain_mod, "train_step", lambda *args: steps_run.append(args))
+    path = tmp_path / "metrics.csv"
+    pcfg = PretrainConfig(batch_size=2, warmup=0, **settings)
+    with pytest.raises(ValueError, match="^quantizer temperature must be positive, got 0.0$"):
+        pretrain_loop(small_dataset(), TINY, pcfg, seed=0, metrics_path=str(path))
+    assert steps_run == []
+    assert not path.exists()
 
 
 def test_nonfinite_loss_raises():
